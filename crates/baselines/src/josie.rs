@@ -16,7 +16,6 @@
 //! both the cost of index construction and the accuracy gap.
 
 use r2d2_lake::{DataLake, Meter, Result, RowHash, RowHashMap};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 
 /// Identifier of a column in the index: (dataset id, flattened column name).
@@ -34,7 +33,7 @@ pub struct InvertedIndex {
 }
 
 /// One ranked answer of a top-k query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ranked {
     /// Dataset owning the candidate column.
     pub dataset: u64,

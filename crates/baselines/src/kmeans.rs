@@ -16,7 +16,6 @@ use r2d2_graph::ContainmentGraph;
 use r2d2_lake::SchemaSet;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Dimensionality of the hashed n-gram embedding space.
 pub const EMBEDDING_DIM: usize = 32;
@@ -68,7 +67,7 @@ fn dist2(a: &[f64; EMBEDDING_DIM], b: &[f64; EMBEDDING_DIM]) -> f64 {
 }
 
 /// Result of a k-means run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KMeansResult {
     /// Cluster assignment per input point.
     pub assignment: Vec<usize>,

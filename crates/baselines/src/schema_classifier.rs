@@ -15,7 +15,6 @@ use r2d2_graph::ContainmentGraph;
 use r2d2_lake::SchemaSet;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Number of features produced by [`pair_features`].
@@ -89,7 +88,7 @@ pub fn pair_features(small: &SchemaSet, large: &SchemaSet) -> [f64; FEATURE_COUN
 }
 
 /// One labelled training example.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Example {
     /// Feature vector.
     pub features: [f64; FEATURE_COUNT],
@@ -98,7 +97,7 @@ pub struct Example {
 }
 
 /// A node of a CART decision tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum TreeNode {
     Leaf {
         positive: bool,
@@ -203,7 +202,7 @@ fn predict_tree(node: &TreeNode, features: &[f64; FEATURE_COUNT]) -> bool {
 }
 
 /// A bagged random forest of CART trees.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     trees: Vec<TreeNode>,
 }
@@ -247,7 +246,7 @@ impl RandomForest {
 
 /// Result of running the classifier baseline against a ground-truth schema
 /// graph (the Table 4 columns).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassifierEvaluation {
     /// Ground-truth edges the classifier also predicts (Correctly Identified).
     pub correctly_identified: usize,

@@ -6,22 +6,18 @@
 //! cargo run -p r2d2-bench --release --bin experiments -- <which> [--smoke]
 //! ```
 //!
-//! where `<which>` is one of `table1`, `table2`, `table3`, `table4`,
-//! `table5`, `table6`, `table7`, `fig2`, `fig4`, `fig5`, `fig6`, `all`,
-//! `bench-pipeline` (writes `BENCH_pipeline.json`), `containment-bench`
-//! (writes `BENCH_containment.json`), `dynamic-throughput` (writes
-//! `BENCH_dynamic.json`), `optimizer-bench` (writes
-//! `BENCH_optimizer.json`), `restart-bench` (writes `BENCH_restart.json`),
-//! `serve-bench` (writes `BENCH_serve.json`), `shootout-bench` (writes
-//! `BENCH_shootout.json`), `ingest-bench` (writes `BENCH_ingest.json`) or
-//! `fuzz-sweep` (asserts the no-panic / no-misdecode decoder contract over
-//! thousands of structured mutations per on-disk format; no JSON artifact).
-//! `--smoke` switches to the small corpora used by the integration tests.
+//! `<which>` is a name from [`EXPERIMENTS`] — the paper's `table1`..`table7`
+//! and `fig2`..`fig6`, `shootout-bench` (the §6.4 baseline comparison; writes
+//! `BENCH_shootout.json`) and `fuzz-sweep` (asserts the no-panic /
+//! no-misdecode decoder contract over thousands of structured mutations per
+//! on-disk format; no JSON artifact) — or `all` (the default) for every table
+//! and figure. An unknown name prints that same list. `--smoke` switches to
+//! the small corpora used by the integration tests. Performance is not
+//! measured here: see `BENCHMARK.json` and `crates/bench/src/bin/benchmark/`.
 
 use r2d2_bench::experiments::{
-    clp_params, containment, containment_bench, dynamic_throughput, enterprise_corpora, figures,
-    fuzz_sweep, ingest_bench, optimization, optimizer_bench, perf, restart_bench, schema_baselines,
-    serve_bench, shootout_bench, synthetic_corpora, Scale,
+    clp_params, containment, enterprise_corpora, figures, fuzz_sweep, optimization,
+    schema_baselines, shootout_bench, synthetic_corpora, Scale,
 };
 use r2d2_core::PipelineConfig;
 
@@ -121,7 +117,7 @@ fn fig4(scale: Scale) {
     println!("{}", figures::render_figure4(&points));
 }
 
-fn fig5() {
+fn fig5(_scale: Scale) {
     println!("== Figure 5: savings for a 10 PB lake over 1 year ==");
     let fractions = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5];
     let points = optimization::figure5(&fractions);
@@ -150,98 +146,6 @@ fn fig6(scale: Scale) {
     );
 }
 
-fn bench_pipeline(scale: Scale) {
-    println!("== Perf snapshot: sequential vs parallel pipeline, hot-path before/after ==");
-    let snapshot = perf::collect(scale == Scale::Smoke);
-    println!("{}", snapshot.render());
-    if scale == Scale::Smoke {
-        // Smoke numbers are not representative; don't clobber the
-        // checked-in full-size snapshot.
-        println!("(--smoke: skipping BENCH_pipeline.json write)");
-    } else {
-        let path = "BENCH_pipeline.json";
-        std::fs::write(path, snapshot.to_json()).expect("write BENCH_pipeline.json");
-        println!("wrote {path}");
-    }
-}
-
-fn dynamic_throughput_cmd(scale: Scale) {
-    println!("== Dynamic updates: incremental session vs full recompute ==");
-    let snapshot = dynamic_throughput::collect(scale == Scale::Smoke);
-    println!("{}", snapshot.render());
-    if scale == Scale::Smoke {
-        // Smoke numbers are not representative; don't clobber the
-        // checked-in full-size snapshot.
-        println!("(--smoke: skipping BENCH_dynamic.json write)");
-    } else {
-        let path = "BENCH_dynamic.json";
-        std::fs::write(path, snapshot.to_json()).expect("write BENCH_dynamic.json");
-        println!("wrote {path}");
-    }
-}
-
-fn optimizer_bench_cmd(scale: Scale) {
-    println!(
-        "== Optimizer: incremental advisor vs full re-solve, indexed vs linear-scan greedy =="
-    );
-    let snapshot = optimizer_bench::collect(scale == Scale::Smoke);
-    println!("{}", snapshot.render());
-    if scale == Scale::Smoke {
-        // Smoke numbers are not representative; don't clobber the
-        // checked-in full-size snapshot.
-        println!("(--smoke: skipping BENCH_optimizer.json write)");
-    } else {
-        let path = "BENCH_optimizer.json";
-        std::fs::write(path, snapshot.to_json()).expect("write BENCH_optimizer.json");
-        println!("wrote {path}");
-    }
-}
-
-fn containment_bench_cmd(scale: Scale) {
-    println!("== Containment: sketch-gated vs seed-shaped pipeline on a wide corpus ==");
-    let snapshot = containment_bench::collect(scale == Scale::Smoke);
-    println!("{}", snapshot.render());
-    if scale == Scale::Smoke {
-        // Smoke numbers are not representative; don't clobber the
-        // checked-in full-size snapshot.
-        println!("(--smoke: skipping BENCH_containment.json write)");
-    } else {
-        let path = "BENCH_containment.json";
-        std::fs::write(path, snapshot.to_json()).expect("write BENCH_containment.json");
-        println!("wrote {path}");
-    }
-}
-
-fn restart_bench_cmd(scale: Scale) {
-    println!("== Restart: warm restore (snapshot + WAL replay) vs cold bootstrap ==");
-    let snapshot = restart_bench::collect(scale == Scale::Smoke);
-    println!("{}", snapshot.render());
-    if scale == Scale::Smoke {
-        // Smoke numbers are not representative; don't clobber the
-        // checked-in full-size snapshot.
-        println!("(--smoke: skipping BENCH_restart.json write)");
-    } else {
-        let path = "BENCH_restart.json";
-        std::fs::write(path, snapshot.to_json()).expect("write BENCH_restart.json");
-        println!("wrote {path}");
-    }
-}
-
-fn serve_bench_cmd(scale: Scale) {
-    println!("== Serve layer: snapshot readers vs a group-committing writer ==");
-    let snapshot = serve_bench::collect(scale == Scale::Smoke);
-    println!("{}", snapshot.render());
-    if scale == Scale::Smoke {
-        // Smoke numbers are not representative; don't clobber the
-        // checked-in full-size snapshot.
-        println!("(--smoke: skipping BENCH_serve.json write)");
-    } else {
-        let path = "BENCH_serve.json";
-        std::fs::write(path, snapshot.to_json()).expect("write BENCH_serve.json");
-        println!("wrote {path}");
-    }
-}
-
 fn shootout_bench_cmd(scale: Scale) {
     println!("== Shootout: baseline precision/recall/runtime vs ground truth, exact vs approx ==");
     let snapshot = shootout_bench::collect(scale == Scale::Smoke);
@@ -257,26 +161,32 @@ fn shootout_bench_cmd(scale: Scale) {
     }
 }
 
-fn ingest_bench_cmd(scale: Scale) {
-    println!("== Hostile ingest: CSV quarantine throughput with graph-parity oracles ==");
-    let snapshot = ingest_bench::collect(scale == Scale::Smoke);
-    println!("{}", snapshot.render());
-    if scale == Scale::Smoke {
-        // Smoke numbers are not representative; don't clobber the
-        // checked-in full-size snapshot.
-        println!("(--smoke: skipping BENCH_ingest.json write)");
-    } else {
-        let path = "BENCH_ingest.json";
-        std::fs::write(path, snapshot.to_json()).expect("write BENCH_ingest.json");
-        println!("wrote {path}");
-    }
-}
-
 fn fuzz_sweep_cmd(scale: Scale) {
     println!("== Decoder fuzz sweep: structured mutations over every on-disk format ==");
     let snapshot = fuzz_sweep::collect(scale == Scale::Smoke);
     println!("{}", snapshot.render());
 }
+
+/// An experiment's command-line name and entry point.
+type Experiment = (&'static str, fn(Scale));
+
+/// Every experiment by name. Dispatch, `all` (the `table*` and `fig*`
+/// entries, in this order) and the usage text all read this table.
+const EXPERIMENTS: &[Experiment] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("table4", table4),
+    ("table5", table5),
+    ("table6", table6),
+    ("table7", table7),
+    ("fig2", fig2),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("shootout-bench", shootout_bench_cmd),
+    ("fuzz-sweep", fuzz_sweep_cmd),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -284,48 +194,22 @@ fn main() {
     let which = args
         .iter()
         .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+        .map_or("all", String::as_str);
 
-    match which.as_str() {
-        "bench-pipeline" => bench_pipeline(scale),
-        "containment-bench" => containment_bench_cmd(scale),
-        "dynamic-throughput" => dynamic_throughput_cmd(scale),
-        "optimizer-bench" => optimizer_bench_cmd(scale),
-        "restart-bench" => restart_bench_cmd(scale),
-        "serve-bench" => serve_bench_cmd(scale),
-        "shootout-bench" => shootout_bench_cmd(scale),
-        "ingest-bench" => ingest_bench_cmd(scale),
-        "fuzz-sweep" => fuzz_sweep_cmd(scale),
-        "table1" => table1(scale),
-        "table2" => table2(scale),
-        "table3" => table3(scale),
-        "table4" => table4(scale),
-        "table5" => table5(scale),
-        "table6" => table6(scale),
-        "table7" => table7(scale),
-        "fig2" => fig2(scale),
-        "fig4" => fig4(scale),
-        "fig5" => fig5(),
-        "fig6" => fig6(scale),
-        "all" => {
-            table1(scale);
-            table2(scale);
-            table3(scale);
-            table4(scale);
-            table5(scale);
-            table6(scale);
-            table7(scale);
-            fig2(scale);
-            fig4(scale);
-            fig5();
-            fig6(scale);
+    if which == "all" {
+        for (name, run) in EXPERIMENTS {
+            if name.starts_with("table") || name.starts_with("fig") {
+                run(scale);
+            }
         }
-        other => {
-            eprintln!(
-                "unknown experiment `{other}`; expected bench-pipeline, containment-bench, dynamic-throughput, optimizer-bench, restart-bench, serve-bench, shootout-bench, ingest-bench, fuzz-sweep, table1..table7, fig2, fig4, fig5, fig6 or all"
-            );
-            std::process::exit(2);
-        }
+    } else if let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == which) {
+        run(scale);
+    } else {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "unknown experiment `{which}`; expected {} or all",
+            names.join(", ")
+        );
+        std::process::exit(2);
     }
 }

@@ -12,10 +12,9 @@ use r2d2_core::{PipelineConfig, R2d2Pipeline};
 use r2d2_graph::diff::diff;
 use r2d2_lake::Meter;
 use r2d2_synth::corpus::Corpus;
-use serde::Serialize;
 
 /// Result of one (s, t) configuration.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SweepPoint {
     /// Number of columns sampled (`s`).
     pub s: usize,

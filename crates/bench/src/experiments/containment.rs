@@ -16,11 +16,10 @@ use r2d2_core::{PipelineConfig, R2d2Pipeline, Stage};
 use r2d2_graph::diff::{diff, GraphDiff};
 use r2d2_lake::Meter;
 use r2d2_synth::corpus::Corpus;
-use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// Quality + cost measurements for one corpus.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CorpusEvaluation {
     /// Corpus name.
     pub corpus: String,

@@ -5,11 +5,10 @@ use crate::report::{fmt_duration, TextTable};
 use r2d2_core::schema_stats::{schema_containment_histogram, Histogram};
 use r2d2_core::{R2d2Pipeline, Stage};
 use r2d2_synth::corpus::{generate, Corpus, CorpusSpec};
-use serde::Serialize;
 use std::time::Duration;
 
 /// Figure 2 output: one histogram per corpus / org.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2Result {
     /// Corpus name.
     pub corpus: String,
@@ -53,7 +52,7 @@ pub fn render_figure2(results: &[Fig2Result]) -> String {
 }
 
 /// One point of the Fig. 4 size sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Point {
     /// Rows per root table used for this point.
     pub rows_per_root: usize,

@@ -2,24 +2,16 @@
 
 pub mod clp_params;
 pub mod containment;
-pub mod containment_bench;
-pub mod dynamic_throughput;
 pub mod figures;
 pub mod fuzz_sweep;
-pub mod ingest_bench;
 pub mod optimization;
-pub mod optimizer_bench;
-pub mod perf;
-pub mod restart_bench;
 pub mod schema_baselines;
-pub mod serve_bench;
 pub mod shootout_bench;
 
 use r2d2_synth::corpus::{generate, Corpus, CorpusSpec};
 use std::time::{Duration, Instant};
 
-/// Best-of-`reps` wall clock of `f` — the timing policy every `BENCH_*`
-/// emitter shares.
+/// Best-of-`reps` wall clock of `f`.
 pub fn time_best<F: FnMut()>(reps: usize, mut f: F) -> Duration {
     let mut best = Duration::MAX;
     for _ in 0..reps.max(1) {
@@ -42,7 +34,7 @@ pub fn sorted_edges(graph: &r2d2_graph::ContainmentGraph) -> Vec<(u64, u64)> {
 /// The paper's corpora range from hundreds of MBs to tens of TBs; this
 /// reproduction is laptop-scale, so the harness offers two sizes: `Smoke`
 /// (fast, used by integration tests) and `Paper` (larger, used by the
-/// `experiments` binary and criterion benches). The *structure* (relative
+/// `experiments` binary). The *structure* (relative
 /// dataset counts, containment density, schema profiles) is the same at both
 /// scales.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,6 +82,19 @@ pub fn enterprise_corpora(scale: Scale) -> Vec<Corpus> {
             .expect("corpus generation cannot fail for valid specs")
         })
         .collect()
+}
+
+/// The wide corpus ([`CorpusSpec::wide`]): hundreds of datasets, most of
+/// them impostors — same schema as their source, float values resampled
+/// strictly inside the source's ranges — so schema and min-max pruning admit
+/// them and only content-level evidence rejects them.
+pub fn wide_corpus(smoke: bool) -> Corpus {
+    let spec = if smoke {
+        CorpusSpec::wide(20, 64)
+    } else {
+        CorpusSpec::wide(96, 1024)
+    };
+    generate(&spec).expect("corpus generation cannot fail for valid specs")
 }
 
 /// The two open-data-style corpora ("Table Union" and "Kaggle").

@@ -21,11 +21,10 @@ use r2d2_opt::{solve, solve_greedy, OptRetProblem};
 use r2d2_synth::corpus::Corpus;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// Table 7 output for one corpus.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OptimizationResult {
     /// Corpus name.
     pub corpus: String,
@@ -92,7 +91,7 @@ pub fn render_table7(results: &[OptimizationResult]) -> String {
 }
 
 /// One point of a Figure 5 series.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig5Point {
     /// Fraction of the lake that is contained / deletable.
     pub contained_fraction: f64,
@@ -135,7 +134,7 @@ pub fn render_figure5(points: &[Fig5Point]) -> String {
 }
 
 /// One point of the Figure 6 scalability sweeps.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig6Point {
     /// Number of nodes in the random graph.
     pub nodes: usize,

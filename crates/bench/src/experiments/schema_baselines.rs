@@ -14,10 +14,9 @@ use r2d2_core::sgb::{brute_force_schema_graph, build_schema_graph};
 use r2d2_graph::diff::diff;
 use r2d2_lake::{Meter, SchemaSet};
 use r2d2_synth::corpus::Corpus;
-use serde::Serialize;
 
 /// Table 4 counts for one method on one corpus.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MethodScore {
     /// Method name.
     pub method: String,
@@ -28,7 +27,7 @@ pub struct MethodScore {
 }
 
 /// Table 4 result for one corpus.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SchemaBaselineResult {
     /// Corpus name.
     pub corpus: String,

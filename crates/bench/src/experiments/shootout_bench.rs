@@ -33,8 +33,7 @@
 //! `approx_recall_vs_truth >= 0.95`, measured — not assumed — against the
 //! brute-force ground truth.
 
-use super::containment_bench::wide_corpus;
-use super::{sorted_edges, time_best};
+use super::{sorted_edges, time_best, wide_corpus};
 use crate::report::TextTable;
 use r2d2_baselines::ground_truth::content_ground_truth;
 use r2d2_baselines::josie::InvertedIndex;

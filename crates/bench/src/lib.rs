@@ -18,7 +18,8 @@
 //! | Fig. 6 (optimizer scalability)                | [`experiments::optimization`] | `experiments fig6` |
 //!
 //! Run everything with `cargo run -p r2d2-bench --release --bin experiments -- all`.
-//! Criterion micro-benchmarks live in `benches/`.
+//! Performance is measured by the `benchmark` binary (`src/bin/benchmark/`)
+//! that `BENCHMARK.json` at the repository root declares.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -18,13 +18,12 @@ use r2d2_lake::query::{left_anti_join, random_rows};
 use r2d2_lake::{Meter, PartitionedTable, Result, SchemaSet};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Maps schema tokens to canonical names using an explicit, human-provided
 /// synonym table (the paper argues embeddings are too error-prone for
 /// enterprise schemas, so only exact lookups are applied).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TokenCanonicalizer {
     /// lowercase token → canonical name
     synonyms: BTreeMap<String, String>,
@@ -90,7 +89,7 @@ impl TokenCanonicalizer {
 }
 
 /// An estimated containment fraction with a two-sided confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContainmentEstimate {
     /// Point estimate of `CM(child, parent)` (fraction of sampled child rows
     /// found in the parent).

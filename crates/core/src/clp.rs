@@ -9,15 +9,13 @@
 //! to touch the partitions admitted by the filter, which is where the
 //! order-of-magnitude savings of Table 3's CLP row come from.
 //!
-//! With [`PipelineConfig::clp_bloom_gate`] set (the default), every sampled
-//! value is probed against the parent's per-column bloom sketches *before*
-//! the parent's hash multiset is built: a sketch miss proves the sampled
-//! row is absent from the parent (sketches have no false negatives), so the
-//! edge is pruned without scanning or hashing a single parent row. Sketch
-//! hits — including false positives — fall through to the exact anti-join,
-//! which is why the final graph is bit-identical with the gate on or off:
-//! the gate prunes exactly when the exact check on the same sample would
-//! have pruned.
+//! Every sampled value is first probed against the parent's per-column bloom
+//! sketches, *before* the parent's hash multiset is built: a sketch miss
+//! proves the sampled row is absent from the parent (sketches have no false
+//! negatives), so the edge is pruned without scanning or hashing a single
+//! parent row. Sketch hits — including false positives — fall through to the
+//! exact anti-join, so the gate never changes the graph: it prunes only when
+//! the exact check on the same sample would have pruned.
 
 use crate::config::{ClpSampling, PipelineConfig};
 use r2d2_graph::ContainmentGraph;
@@ -27,10 +25,9 @@ use r2d2_lake::{DataLake, DatasetId, HashJoinCache, Meter, PartitionedTable, Res
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Statistics of one CLP run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClpStats {
     /// Edges examined.
     pub edges_examined: usize,
@@ -220,9 +217,9 @@ fn check_edge(
         // Bloom gate: a sampled value absent from the parent's sketch
         // proves the sampled row absent from the parent — prune before
         // building or probing the (expensive) parent hash multiset. The
-        // exact check below would prune on the same sample, so the final
-        // graph is identical with the gate on or off.
-        if config.clp_bloom_gate && sketch_disproves(&parent.data, &sample, &common, meter) {
+        // exact check below would prune on the same sample, so the gate
+        // never changes the graph.
+        if sketch_disproves(&parent.data, &sample, &common, meter) {
             return Ok(EdgeOutcome {
                 prune: true,
                 sketch_pruned: true,
@@ -309,7 +306,7 @@ pub fn content_level_prune(
     // would also skew meter totals versus a sequential run), so the cache is
     // instead left bounded by the edge list's distinct (parent, column-set)
     // keys for the duration of the stage.
-    let sequential = rayon::resolve_threads(config.threads) <= 1;
+    let sequential = crate::fanout::resolve_threads(config.threads) <= 1;
     let previous_parent = std::sync::Mutex::new(None::<u64>);
     let outcomes: Vec<EdgeOutcome> =
         crate::fanout::try_parallel_map(config.threads, &edges, |&(parent_id, child_id)| {
@@ -633,63 +630,76 @@ mod tests {
         );
     }
 
-    #[test]
-    fn gated_and_ungated_produce_identical_graphs_and_samples() {
-        for sampling in [
-            ClpSampling::PredicateFilter,
-            ClpSampling::RandomRows,
-            ClpSampling::BothSides,
-        ] {
-            let mut lake = DataLake::new();
-            let parent_t = base_table(80);
-            let p = add(&mut lake, "p", parent_t.clone());
-            let c_ok = add(
-                &mut lake,
-                "c_ok",
-                parent_t.take(&(5..45).collect::<Vec<_>>()).unwrap(),
-            );
-            let schema = parent_t.schema().clone();
-            let c_bad = add(
-                &mut lake,
-                "c_bad",
-                Table::new(
-                    schema,
-                    vec![
-                        Column::from_ints(7000..7030),
-                        Column::from_strs((0..30).map(|i| format!("e{}", i % 5))),
-                        Column::from_floats((0..30).map(|i| i as f64)),
-                    ],
-                )
-                .unwrap(),
-            );
-            let build = || {
-                let mut g = ContainmentGraph::new();
-                g.add_edge(p, c_ok);
-                g.add_edge(p, c_bad);
-                g
-            };
-            let mut gated_graph = build();
-            let gated_cfg = config().with_sampling(sampling);
-            let gated =
-                content_level_prune(&lake, &mut gated_graph, &gated_cfg, &Meter::new()).unwrap();
-
-            let mut ungated_graph = build();
-            let ungated_cfg = config().with_sampling(sampling).with_clp_bloom_gate(false);
-            let ungated =
-                content_level_prune(&lake, &mut ungated_graph, &ungated_cfg, &Meter::new())
-                    .unwrap();
-
-            assert_eq!(
-                gated_graph, ungated_graph,
-                "{sampling:?}: bloom gating must be graph-invisible"
-            );
-            assert_eq!(gated.edges_pruned, ungated.edges_pruned);
-            assert_eq!(
-                gated.rows_sampled, ungated.rows_sampled,
-                "{sampling:?}: identical RNG streams draw identical samples"
-            );
-            assert_eq!(ungated.edges_pruned_by_sketch, 0);
+    /// A random lake mixing honest id-range subsets of `base_table` and
+    /// impostors (same schema and keys, float column offset) — edges that
+    /// pass schema and min/max pruning and must die at content level.
+    fn impostor_lake(seed: u64) -> DataLake {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0xA5A5_5A5A).wrapping_add(1));
+        let mut lake = DataLake::new();
+        add(&mut lake, "root", base_table(60));
+        for k in 0..rng.gen_range(2usize..6) {
+            let start = rng.gen_range(0i64..40);
+            let ids = start..start + rng.gen_range(1i64..30);
+            let offset = if rng.gen_bool(0.5) { 0.0 } else { 0.123 };
+            let t = Table::new(
+                base_table(1).schema().clone(),
+                vec![
+                    Column::from_ints(ids.clone()),
+                    Column::from_strs(ids.clone().map(|i| format!("e{}", i % 5))),
+                    Column::from_floats(ids.map(|i| i as f64 * 0.25 + offset)),
+                ],
+            )
+            .unwrap();
+            add(&mut lake, &format!("d{k}"), t);
         }
+        lake
+    }
+
+    #[test]
+    fn sketch_disproof_implies_a_non_empty_exact_anti_join() {
+        // Why the gate cannot change the graph: whenever it fires, the exact
+        // anti-join of the very same sample against the whole parent (a
+        // superset of any filtered parent `BothSides` probes) finds a
+        // missing row, so the exact check would have pruned too.
+        let mut disproved = 0usize;
+        for seed in 0..40u64 {
+            let lake = impostor_lake(seed);
+            let ids: Vec<u64> = lake.iter().map(|e| e.id.0).collect();
+            for sampling in [
+                ClpSampling::PredicateFilter,
+                ClpSampling::RandomRows,
+                ClpSampling::BothSides,
+            ] {
+                let cfg = config().with_sampling(sampling);
+                for (&p, &c) in ids.iter().flat_map(|p| ids.iter().map(move |c| (p, c))) {
+                    if p == c {
+                        continue;
+                    }
+                    let parent = &lake.dataset(DatasetId(p)).unwrap().data;
+                    let child = &lake.dataset(DatasetId(c)).unwrap().data;
+                    let common = child
+                        .schema()
+                        .schema_set()
+                        .intersection(&parent.schema().schema_set());
+                    let join_cols: Vec<&str> = common.iter().map(String::as_str).collect();
+                    let meter = Meter::new();
+                    let mut rng = SmallRng::seed_from_u64(edge_seed(cfg.seed, p, c));
+                    let (sample, _) = sample_child(child, &common, &cfg, &mut rng, &meter).unwrap();
+                    if !sketch_disproves(parent, &sample, &common, &meter) {
+                        continue;
+                    }
+                    disproved += 1;
+                    let missing = left_anti_join(&sample, parent, &join_cols, &meter).unwrap();
+                    assert!(
+                        !missing.is_empty(),
+                        "seed {seed}, {sampling:?}, edge {p} -> {c}: the sketch disproved a \
+                         sample the exact anti-join finds fully present"
+                    );
+                }
+            }
+        }
+        assert!(disproved > 0, "the lakes must exercise the gate");
     }
 
     #[test]

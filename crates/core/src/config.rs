@@ -5,10 +5,8 @@
 //! parameters, seed derivation and worker-thread count, which is what keeps
 //! incremental results bit-identical to a fresh batch run.
 
-use serde::{Deserialize, Serialize};
-
 /// How Content-Level Pruning draws its sample of child rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClpSampling {
     /// Sample `t` uniformly random rows of the child (the simplest variant;
     /// corresponds to "sampling a table naively" in §6.6).
@@ -35,7 +33,7 @@ pub enum ClpSampling {
 /// `threshold`. Because that estimate is exactly `1.0` for true containment
 /// pairs, any `threshold ≤ 1.0` only ever prunes provably-false pairs — the
 /// final graph stays identical; only the work to reach it shrinks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxConfig {
     /// Signature size `k` (number of MinHash permutations) the tier gates
     /// with. Clamped to the persisted size
@@ -102,7 +100,7 @@ impl ApproxConfig {
 }
 
 /// Configuration of the R2D2 pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// `s`: maximum number of (common) columns used to build the CLP filter.
     /// The paper finds `s = 4` a good default (§6.6, Table 6).
@@ -130,16 +128,6 @@ pub struct PipelineConfig {
     /// this only ever removes provably-false edges (it can improve precision
     /// over a run without the gate, never recall).
     pub mmp_distinct_gate: bool,
-    /// Enable the CLP **bloom-sketch gate**: after drawing each child
-    /// sample and *before* building or probing the parent's hash multiset,
-    /// probe every sampled value against the parent's per-column bloom
-    /// sketches. A missing value proves the sampled row is absent from the
-    /// parent (sketches have no false negatives), so the edge is pruned
-    /// without touching a parent row; sketch hits fall through to the exact
-    /// anti-join. Because the gate can only prune edges the exact check
-    /// would have pruned on the very same sample, the final graph is
-    /// **bit-identical** with this gate on or off.
-    pub clp_bloom_gate: bool,
     /// Number of worker threads for the data-parallel stages (SGB step 6
     /// pair checks, MMP per-edge metadata checks, CLP per-edge sampling and
     /// anti-joins). `1` (the default) runs every stage inline on the calling
@@ -163,7 +151,6 @@ impl Default for PipelineConfig {
             seed: 0x5eed,
             mmp_typed_columns_only: true,
             mmp_distinct_gate: true,
-            clp_bloom_gate: true,
             threads: 1,
             approx: None,
         }
@@ -213,19 +200,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Enable or disable the CLP bloom-sketch gate.
-    pub fn with_clp_bloom_gate(mut self, enabled: bool) -> Self {
-        self.clp_bloom_gate = enabled;
-        self
-    }
-
-    /// Disable every sketch-backed gate (the pre-sketch, "seed-shaped"
-    /// pruning behaviour benchmarks compare against).
-    pub fn without_sketch_gates(self) -> Self {
-        self.with_mmp_distinct_gate(false)
-            .with_clp_bloom_gate(false)
-    }
-
     /// Override the worker thread count (`1` = sequential, `0` = all
     /// hardware threads).
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -257,20 +231,13 @@ mod tests {
         assert_eq!(c.clp_rows, 10);
         assert_eq!(c.clp_sampling, ClpSampling::PredicateFilter);
         assert!(c.mmp_distinct_gate, "sketch gates default on");
-        assert!(c.clp_bloom_gate, "sketch gates default on");
         assert_eq!(PipelineConfig::paper_defaults(), c);
     }
 
     #[test]
     fn sketch_gates_can_be_disabled() {
-        let c = PipelineConfig::default().without_sketch_gates();
+        let c = PipelineConfig::default().with_mmp_distinct_gate(false);
         assert!(!c.mmp_distinct_gate);
-        assert!(!c.clp_bloom_gate);
-        let partial = PipelineConfig::default()
-            .with_mmp_distinct_gate(false)
-            .with_clp_bloom_gate(true);
-        assert!(!partial.mmp_distinct_gate);
-        assert!(partial.clp_bloom_gate);
     }
 
     #[test]

@@ -1,7 +1,88 @@
-//! Fallible parallel fan-out shared by the MMP and CLP stages.
+//! Parallel fan-out shared by the SGB, MMP and CLP stages: an
+//! order-preserving, dynamically scheduled map over a slice, built on
+//! `std::thread::scope`, and its fallible variant.
 
 use r2d2_lake::Result;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Number of hardware threads available, with a fallback of 1.
+fn current_num_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Resolve a user-facing thread knob: `0` means "use all hardware threads",
+/// anything else is taken literally.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        current_num_threads()
+    } else {
+        threads
+    }
+}
+
+/// Map `f` over `items` on up to `threads` worker threads, returning exactly
+/// `items.iter().map(f).collect()` — same values, same order — regardless
+/// of `threads`; only the execution interleaving differs.
+///
+/// `threads <= 1` runs inline on the caller's thread with no spawning, so a
+/// single-threaded run has the same stack and panic behaviour as a plain
+/// loop. Work is handed out item-by-item from an atomic counter, so uneven
+/// item costs (e.g. containment edges over differently sized parents)
+/// balance across workers.
+pub(crate) fn parallel_map<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    let threads = resolve_threads(threads).min(items.len().max(1));
+    if threads <= 1 || items.len() <= 1 {
+        return items.iter().map(f).collect();
+    }
+
+    let next = AtomicUsize::new(0);
+    let results: Mutex<Vec<Option<U>>> = Mutex::new((0..items.len()).map(|_| None).collect());
+
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                // Each worker drains indices from the shared counter and
+                // buffers its results locally, taking the results lock once
+                // per batch instead of once per item.
+                let mut local: Vec<(usize, U)> = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    local.push((i, f(&items[i])));
+                    if local.len() >= 64 {
+                        let mut guard = results.lock().unwrap();
+                        for (idx, v) in local.drain(..) {
+                            guard[idx] = Some(v);
+                        }
+                    }
+                }
+                if !local.is_empty() {
+                    let mut guard = results.lock().unwrap();
+                    for (idx, v) in local.drain(..) {
+                        guard[idx] = Some(v);
+                    }
+                }
+            });
+        }
+    });
+
+    results
+        .into_inner()
+        .unwrap()
+        .into_iter()
+        .map(|v| v.expect("every index was processed"))
+        .collect()
+}
 
 /// Map a fallible check over `items` on up to `threads` workers, returning
 /// results in input order.
@@ -20,7 +101,7 @@ where
     F: Fn(&T) -> Result<U> + Sync,
 {
     let abort = AtomicBool::new(false);
-    let outcomes: Vec<Option<Result<U>>> = rayon::parallel_map(threads, items, |item| {
+    let outcomes: Vec<Option<Result<U>>> = parallel_map(threads, items, |item| {
         if abort.load(Ordering::Relaxed) {
             return None;
         }
@@ -52,7 +133,49 @@ where
 mod tests {
     use super::*;
     use r2d2_lake::LakeError;
-    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn matches_sequential_map() {
+        let items: Vec<u64> = (0..1000).collect();
+        let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
+        for threads in [1, 2, 4, 7] {
+            let par = parallel_map(threads, &items, |x| x * x);
+            assert_eq!(par, seq, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn zero_threads_means_auto() {
+        assert_eq!(resolve_threads(0), current_num_threads());
+        assert_eq!(resolve_threads(3), 3);
+        let items = [1, 2, 3];
+        assert_eq!(parallel_map(0, &items, |x| x + 1), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn empty_and_singleton_inputs() {
+        let empty: Vec<i32> = Vec::new();
+        assert!(parallel_map(4, &empty, |x| *x).is_empty());
+        assert_eq!(parallel_map(4, &[9], |x| x - 1), vec![8]);
+    }
+
+    #[test]
+    fn uneven_work_is_balanced() {
+        // Items with wildly different costs still come back in order.
+        let items: Vec<usize> = (0..200).collect();
+        let out = parallel_map(8, &items, |&i| {
+            if i % 17 == 0 {
+                // Simulate an expensive item.
+                let mut acc = 0u64;
+                for k in 0..50_000u64 {
+                    acc = acc.wrapping_add(k.wrapping_mul(k));
+                }
+                std::hint::black_box(acc);
+            }
+            i * 2
+        });
+        assert_eq!(out, items.iter().map(|i| i * 2).collect::<Vec<_>>());
+    }
 
     #[test]
     fn success_keeps_input_order() {

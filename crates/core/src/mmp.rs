@@ -20,12 +20,11 @@
 
 use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{DataLake, DatasetId, LakeError, Meter, Result};
-use serde::{Deserialize, Serialize};
 
 /// Which metadata checks an MMP run applies. Named fields instead of two
 /// adjacent positional bools, so call sites cannot silently transpose the
 /// flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MmpOptions {
     /// Restrict the min/max check to columns whose declared type supports
     /// min/max statistics (numbers, timestamps, strings).
@@ -45,7 +44,7 @@ impl MmpOptions {
 }
 
 /// Statistics of one MMP run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MmpStats {
     /// Edges examined.
     pub edges_examined: usize,

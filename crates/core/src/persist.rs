@@ -558,7 +558,10 @@ fn put_pipeline_config(buf: &mut BytesMut, c: &PipelineConfig) {
     buf.put_u64_le(c.seed);
     wire::put_bool(buf, c.mmp_typed_columns_only);
     wire::put_bool(buf, c.mmp_distinct_gate);
-    wire::put_bool(buf, c.clp_bloom_gate);
+    // Reserved: R2D2SNAP v5 stored an on/off flag for the CLP bloom gate
+    // here. The gate is unconditional now; the byte stays so the layout is
+    // unchanged, written as `1` and ignored on read.
+    buf.put_u8(1);
     wire::put_usize(buf, c.threads);
     match &c.approx {
         None => buf.put_u8(0),
@@ -591,7 +594,7 @@ fn get_pipeline_config(buf: &mut Bytes) -> Result<PipelineConfig> {
     let seed = wire::get_u64(buf)?;
     let mmp_typed_columns_only = wire::get_bool(buf)?;
     let mmp_distinct_gate = wire::get_bool(buf)?;
-    let clp_bloom_gate = wire::get_bool(buf)?;
+    wire::get_bool(buf)?; // reserved (see `put_pipeline_config`)
     let threads = wire::get_usize(buf)?;
     let approx = match wire::get_tag(buf, "approx config tag")? {
         0 => None,
@@ -617,7 +620,6 @@ fn get_pipeline_config(buf: &mut Bytes) -> Result<PipelineConfig> {
         seed,
         mmp_typed_columns_only,
         mmp_distinct_gate,
-        clp_bloom_gate,
         threads,
         approx,
     })
@@ -1262,6 +1264,26 @@ mod tests {
         }
         let mut bad = Bytes::from(vec![7u8]);
         assert!(WalRecord::decode(&mut bad).is_err());
+    }
+
+    #[test]
+    fn reserved_config_byte_is_written_as_one_and_ignored_on_read() {
+        // R2D2SNAP v5 files written while the CLP bloom gate was optional
+        // may carry a 0 in the (now reserved) flag byte; they must still
+        // restore, to the same configuration.
+        let config = PipelineConfig::default().with_seed(9);
+        let session = crate::session::R2d2Session::bootstrap(DataLake::new(), config).unwrap();
+        let image = Bytes::from(session.snapshot().as_bytes().to_vec());
+        let mut body = read_snapshot_file(&image).unwrap().body.to_vec();
+        // clp_columns, clp_rows, clp_rounds (u64 each), sampling tag, seed,
+        // mmp_typed_columns_only, mmp_distinct_gate — then the reserved byte.
+        let reserved = 3 * 8 + 1 + 8 + 1 + 1;
+        assert_eq!(body[reserved], 1);
+        body[reserved] = 0;
+        let old = SessionSnapshot::from_bytes(frame_snapshot(SnapshotKind::Full, body.into()));
+        let restored = old.restore().unwrap();
+        assert_eq!(restored.config(), session.config());
+        assert_eq!(restored.snapshot(), session.snapshot(), "re-encodes as 1");
     }
 
     fn write_marker(dir: &Path, seq: u64, kind: SnapshotKind) -> u64 {

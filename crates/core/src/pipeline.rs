@@ -13,11 +13,10 @@ use crate::sgb::SgbResult;
 use crate::sgb::{build_schema_graph_threaded, build_schema_graph_with_source, ApproxCandidates};
 use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{DataLake, DatasetId, Meter, OpCounts, Result, SchemaSet};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// The three pipeline stages, in execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Stage {
     /// Schema Graph Builder (Algorithm 1).
     Sgb,
@@ -48,7 +47,7 @@ impl std::fmt::Display for Stage {
 }
 
 /// Per-stage measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageReport {
     /// Which stage was measured.
     pub stage: Stage,
@@ -68,7 +67,7 @@ pub struct StageReport {
 /// Since every edge in the final graph passed the exact CLP check, a healthy
 /// report has [`ContainmentEstimate::could_be_exact`] true for every entry —
 /// the estimate is a cheap cross-check, not a second verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxEdgeReport {
     /// Parent (containing) dataset id.
     pub parent: u64,
@@ -81,7 +80,7 @@ pub struct ApproxEdgeReport {
 /// Full pipeline output: the final containment graph plus per-stage reports
 /// and intermediate graphs (so experiments can evaluate each stage against
 /// ground truth, as Tables 1 and 2 do).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// Graph after SGB (schema containment only).
     pub after_sgb: ContainmentGraph,
@@ -203,7 +202,8 @@ impl R2d2Pipeline {
         let before = meter.snapshot();
         let t0 = Instant::now();
         let sgb = self.run_sgb(lake, &meter);
-        let after_sgb = sgb.graph.clone();
+        let sgb_clusters = sgb.cluster_count();
+        let after_sgb = sgb.graph;
         stages.push(StageReport {
             stage: Stage::Sgb,
             duration: t0.elapsed(),
@@ -258,7 +258,7 @@ impl R2d2Pipeline {
             after_mmp,
             after_clp: graph,
             stages,
-            sgb_clusters: sgb.cluster_count(),
+            sgb_clusters,
             total_duration: start_all.elapsed(),
             approx_edges,
         })

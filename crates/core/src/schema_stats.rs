@@ -11,10 +11,9 @@
 
 use r2d2_lake::stats::{normalized_quantile_distance, numeric_quantiles, PAPER_QUANTILE_FRACTIONS};
 use r2d2_lake::{DataLake, Meter, Result, SchemaSet};
-use serde::{Deserialize, Serialize};
 
 /// A histogram over `[0, 1]` with equal-width buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Bucket counts; bucket `i` covers `[i/n, (i+1)/n)`, the last bucket is
     /// closed on the right.
@@ -87,7 +86,7 @@ pub fn schema_containment_histogram(lake: &DataLake, n_buckets: usize) -> Histog
 }
 
 /// Result of the §1.2 quantile-divergence analysis over same-schema pairs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QuantileDivergence {
     /// Number of table pairs with identical schemas that were compared.
     pub same_schema_pairs: usize,

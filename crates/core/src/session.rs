@@ -51,13 +51,12 @@ use r2d2_lake::{
 };
 use r2d2_opt::advisor::{AdvisorConfig, AdvisorReport, AdvisorState, DatasetChange};
 use r2d2_opt::{CostModel, Solution};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// What one [`R2d2Session::apply_batch`] (or [`R2d2Session::apply`]) did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateReport {
     /// Updates executed against the catalog in this batch.
     pub updates_applied: usize,
@@ -81,7 +80,7 @@ pub struct UpdateReport {
 }
 
 /// Point-in-time summary of a session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// Datasets currently in the lake.
     pub datasets: usize,

@@ -43,17 +43,17 @@
 //! work shrinks.
 
 use crate::config::ApproxConfig;
+use crate::fanout::parallel_map;
 use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{
     DataLake, InternedSchemaSet, Meter, MinHashSignature, SchemaInterner, SchemaSet, SIGNATURE_K,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::Hash;
 
 /// One schema cluster produced by SGB: a center plus its members
 /// (the center itself is also a member, as in the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaCluster {
     /// Dataset id of the cluster center (the largest schema in the cluster).
     pub center: u64,
@@ -62,7 +62,7 @@ pub struct SchemaCluster {
 }
 
 /// Output of the SGB stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SgbResult {
     /// The schema containment graph (parent → child edges).
     pub graph: ContainmentGraph,
@@ -83,9 +83,10 @@ impl SgbResult {
 
 /// A set that supports the operations SGB needs: cardinality, subset
 /// testing and element enumeration (for the inverted column index).
-/// Implemented by both the interned (fast) and the string (legacy /
-/// baseline) schema-set representations so the two code paths share one
-/// algorithm and produce identical graphs and comparison counts.
+/// Implemented by the interned representation the stage runs on and, in
+/// this module's tests, by the string representation it is checked against,
+/// so both share one algorithm and must produce identical graphs and
+/// comparison counts.
 trait ContainmentSet: Sync {
     /// The element (column) representation the inverted index is keyed by.
     type Elem: Hash + Eq + Sync;
@@ -93,22 +94,6 @@ trait ContainmentSet: Sync {
     fn card(&self) -> usize;
     fn subset_of(&self, other: &Self) -> bool;
     fn elements(&self) -> Vec<Self::Elem>;
-}
-
-impl ContainmentSet for SchemaSet {
-    type Elem = String;
-
-    fn card(&self) -> usize {
-        self.len()
-    }
-
-    fn subset_of(&self, other: &Self) -> bool {
-        self.is_contained_in(other)
-    }
-
-    fn elements(&self) -> Vec<String> {
-        self.iter().map(str::to_string).collect()
-    }
 }
 
 impl ContainmentSet for InternedSchemaSet {
@@ -347,7 +332,7 @@ fn sgb_core<S: ContainmentSet, C: CandidateSource>(
         }
     }
     let children: Vec<usize> = (0..ids.len()).collect();
-    let per_child: Vec<(Vec<(u64, u64)>, u64)> = rayon::parallel_map(threads, &children, |&si| {
+    let per_child: Vec<(Vec<(u64, u64)>, u64)> = parallel_map(threads, &children, |&si| {
         let mut edges = Vec::new();
         let mut local_comparisons = 0u64;
         if elements[si].is_empty() {
@@ -450,18 +435,6 @@ pub fn build_schema_graph_with_source<C: CandidateSource>(
     result
 }
 
-/// The pre-interning implementation: identical algorithm, but containment
-/// checks run directly on the string [`SchemaSet`]s. Kept as the baseline
-/// the criterion benches compare interning against; produces exactly the
-/// same graph and comparison counts as [`build_schema_graph`].
-pub fn build_schema_graph_string(schemas: &[(u64, SchemaSet)], meter: &Meter) -> SgbResult {
-    let ids: Vec<u64> = schemas.iter().map(|(id, _)| *id).collect();
-    let sets: Vec<SchemaSet> = schemas.iter().map(|(_, s)| s.clone()).collect();
-    let result = sgb_core(&ids, &sets, 1, &ExactCandidates);
-    meter.add_schema_comparisons(result.schema_comparisons);
-    result
-}
-
 /// The brute-force `O(N²)` schema containment graph ("Ground Truth Schema"
 /// baseline of §6.4.1): compare every ordered pair of schema sets directly.
 /// Exposed here because the pipeline tests use it to verify Theorem 4.1; the
@@ -491,6 +464,33 @@ pub fn brute_force_schema_graph(schemas: &[(u64, SchemaSet)], meter: &Meter) -> 
 mod tests {
     use super::*;
     use r2d2_graph::diff::diff;
+
+    impl ContainmentSet for SchemaSet {
+        type Elem = String;
+
+        fn card(&self) -> usize {
+            self.len()
+        }
+
+        fn subset_of(&self, other: &Self) -> bool {
+            self.is_contained_in(other)
+        }
+
+        fn elements(&self) -> Vec<String> {
+            self.iter().map(str::to_string).collect()
+        }
+    }
+
+    /// The pre-interning implementation: identical algorithm, but containment
+    /// checks run directly on the string [`SchemaSet`]s. The reference the
+    /// interned stage must match in graph, clusters and comparison count.
+    fn build_schema_graph_string(schemas: &[(u64, SchemaSet)], meter: &Meter) -> SgbResult {
+        let ids: Vec<u64> = schemas.iter().map(|(id, _)| *id).collect();
+        let sets: Vec<SchemaSet> = schemas.iter().map(|(_, s)| s.clone()).collect();
+        let result = sgb_core(&ids, &sets, 1, &ExactCandidates);
+        meter.add_schema_comparisons(result.schema_comparisons);
+        result
+    }
 
     fn schema(names: &[&str]) -> SchemaSet {
         SchemaSet::from_names(names.iter().copied())

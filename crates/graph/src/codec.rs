@@ -1,8 +1,7 @@
 //! Binary round-trip codec for [`ContainmentGraph`].
 //!
-//! The serde derives in this offline workspace are no-op markers, so durable
-//! session snapshots (`r2d2_core::persist`) serialize the graph through this
-//! hand-written little-endian format instead. The encoding preserves
+//! Durable session snapshots (`r2d2_core::persist`) serialize the graph
+//! through this hand-written little-endian format. The encoding preserves
 //! everything observable about a graph — *including node-id assignment*:
 //! dataset ids are written in insertion order and re-added in that order on
 //! decode, so `node_of`/`dataset_of` mappings, `datasets()` order and edge
@@ -95,7 +94,7 @@ fn get_opt_str(buf: &mut Bytes) -> Result<Option<String>, GraphCodecError> {
     }
 }
 
-/// Serialize a graph into the binary format described in the module docs.
+/// Encode a graph into the binary format described in the module docs.
 pub fn encode(graph: &ContainmentGraph) -> Bytes {
     let mut buf = BytesMut::new();
     buf.put_u32_le(graph.node_count() as u32);
@@ -199,7 +198,7 @@ fn get_annotation(buf: &mut Bytes) -> Result<ContainmentEdge, GraphCodecError> {
     })
 }
 
-/// Serialize the difference between `graph` and a prior [`capture`] of it:
+/// Encode the difference between `graph` and a prior [`capture`] of it:
 /// the base node count (verified on apply), the appended dataset ids, the
 /// removed edges, and the added-or-reannotated edges in full.
 ///

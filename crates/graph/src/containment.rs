@@ -9,11 +9,10 @@
 //! added by the §5.1 pre-processing step.
 
 use crate::digraph::{DiGraph, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Annotations attached to a containment edge (parent → child).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContainmentEdge {
     /// Measured containment fraction of the child in the parent
     /// (`CM(child, parent)`), when known (ground truth or verification runs).
@@ -31,7 +30,7 @@ pub struct ContainmentEdge {
 }
 
 /// A containment graph over datasets identified by external u64 ids.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContainmentGraph {
     graph: DiGraph,
     /// node index → external dataset id

@@ -9,11 +9,10 @@
 //! computes exactly these counts.
 
 use crate::containment::ContainmentGraph;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Classification of one candidate edge against the ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeDiff {
     /// The edge exists in the ground truth (true containment, CM = 1).
     Correct,
@@ -22,7 +21,7 @@ pub enum EdgeDiff {
 }
 
 /// Summary of a candidate graph vs. a ground-truth graph.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphDiff {
     /// Candidate edges that are real containment edges.
     pub correct: usize,
@@ -79,7 +78,7 @@ pub fn diff(candidate: &ContainmentGraph, ground_truth: &ContainmentGraph) -> Gr
 /// (e.g. a session's containment graph before and after a dynamic update).
 /// Unlike [`GraphDiff`], which scores a candidate against ground truth, this
 /// records exactly which edges appeared and disappeared.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgeDelta {
     /// Edges present in `after` but not in `before`, sorted.
     pub added: Vec<(u64, u64)>,

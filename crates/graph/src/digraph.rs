@@ -1,10 +1,9 @@
 //! A compact directed graph with stable node ids.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Index of a node within a [`DiGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl std::fmt::Display for NodeId {
@@ -20,7 +19,7 @@ impl std::fmt::Display for NodeId {
 /// and children (outgoing edges) of a node. Node count is fixed at creation;
 /// nodes can be added but not removed (the containment layer handles dataset
 /// deletion by clearing incident edges).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DiGraph {
     /// out[u] = set of v such that u → v.
     out: Vec<BTreeSet<usize>>,

@@ -13,13 +13,12 @@
 use crate::error::{LakeError, Result};
 use crate::meter::Meter;
 use crate::partition::PartitionedTable;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Opaque identifier of a dataset within a [`DataLake`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DatasetId(pub u64);
 
 impl std::fmt::Display for DatasetId {
@@ -31,7 +30,7 @@ impl std::fmt::Display for DatasetId {
 /// Expected access behaviour of a dataset over one billing period — the
 /// inputs `A_v` (customer-initiated accesses) and `f_v` (maintenance
 /// operations such as GDPR scans) of the Opt-Ret objective (Eq. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessProfile {
     /// Expected number of customer-initiated accesses per billing period.
     pub accesses_per_period: f64,
@@ -58,7 +57,7 @@ impl Default for AccessProfile {
 /// (through human input) before an edge can be used for reconstruction; the
 /// synthetic corpora populate this from their generation recipe, playing the
 /// role of that human input.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lineage {
     /// The dataset this one was derived from.
     pub parent: DatasetId,

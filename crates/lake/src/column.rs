@@ -16,14 +16,13 @@ use crate::meter::Meter;
 use crate::stats::ColumnStats;
 use crate::value::Value;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// A single column of a table: a name-less typed vector of values.
 ///
 /// The name lives in the table's [`crate::schema::Schema`]; a `Column` is
 /// purely the data plus cached [`ColumnStats`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Column {
     data_type: DataType,
     repr: ColumnRepr,

@@ -6,10 +6,8 @@
 //! treats timestamps and identifiers specially (they are good sampling keys
 //! for Content-Level Pruning), so the type is carried explicitly.
 
-use serde::{Deserialize, Serialize};
-
 /// Logical type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// Absence of a value; only used as the type of an all-null column.
     Null,

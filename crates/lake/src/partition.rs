@@ -16,11 +16,10 @@ use crate::schema::Schema;
 use crate::stats::ColumnStats;
 use crate::table::Table;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// How to split a table into partitions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PartitionSpec {
     /// Fixed-size horizontal chunks of at most `rows_per_partition` rows.
     ByRowCount {
@@ -44,7 +43,7 @@ pub enum PartitionSpec {
 }
 
 /// Metadata of one partition: row count, byte size, per-column stats.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionMeta {
     /// Number of rows in the partition.
     pub row_count: usize,
@@ -55,7 +54,7 @@ pub struct PartitionMeta {
 }
 
 /// A horizontally partitioned table with partition-level metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionedTable {
     schema: Schema,
     partitions: Vec<Table>,

@@ -16,14 +16,13 @@ use crate::row::RowHashMap;
 use crate::table::Table;
 use crate::value::Value;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// A predicate over a single table, in the small WHERE-clause language that
 /// CLP needs (`col = value`, `col BETWEEN lo AND hi`, conjunctions).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Always true: selects every row.
     True,
@@ -518,7 +517,7 @@ pub fn left_anti_join_cached(
 }
 
 /// Result of a full containment check between two tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContainmentCheck {
     /// Number of child rows (the denominator of the containment fraction).
     pub child_rows: usize,

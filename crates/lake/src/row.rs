@@ -10,12 +10,11 @@
 //! hashes, mirroring the paper's "compare hashes of all possible row pairs".
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
 
 /// A single row: an owned tuple of values, positionally aligned with a
 /// table's schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
     values: Vec<Value>,
 }
@@ -68,7 +67,7 @@ impl From<Vec<Value>> for Row {
 /// Two rows with equal hashes are treated as equal rows by the containment
 /// machinery; 128 bits keeps the collision probability negligible even for
 /// billions of rows (birthday bound ≈ 2^-64 per pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RowHash(pub u128);
 
 /// Map hasher for [`RowHash`] keys: the key *is already* a uniform 128-bit

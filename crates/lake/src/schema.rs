@@ -10,11 +10,10 @@
 
 use crate::datatype::DataType;
 use crate::error::{LakeError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// A leaf field of a flattened schema: a dotted path plus its data type.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Field {
     /// Flattened, dot-separated column path, e.g. `product.price`.
     pub name: String,
@@ -38,7 +37,7 @@ impl Field {
 /// The enterprise datasets in the paper use such tree schemas (XDM-style
 /// event records); the open-data corpora use flat schemas, which are just
 /// trees of depth one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchemaNode {
     /// A leaf column with a name and a type.
     Leaf {
@@ -120,7 +119,7 @@ impl SchemaNode {
 ///
 /// The order matters for storage layout and row tuples; containment checks
 /// use the unordered [`SchemaSet`] view.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     fields: Vec<Field>,
 }
@@ -225,7 +224,7 @@ impl Schema {
 /// This is the "schema set" of §4.1; containment between schema sets is the
 /// necessary condition for table-level containment that SGB builds its graph
 /// from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaSet {
     names: BTreeSet<String>,
 }

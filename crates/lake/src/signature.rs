@@ -30,7 +30,6 @@
 //! some band with probability `1 − (1 − J^rows)^bands`.
 
 use crate::row::RowHash;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Number of permutations per-column signatures are built (and persisted)
@@ -59,7 +58,7 @@ fn permute(hash: u64, i: u64) -> u64 {
 /// A MinHash signature: the minimum hash value under `k` independent hash
 /// functions (implemented as xor-multiply-shift permutations of the 128-bit
 /// row hash folded to 64 bits).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinHashSignature {
     mins: Vec<u64>,
     /// Number of distinct elements the signature was built from. For merged

@@ -14,8 +14,8 @@
 //!   absent from the parent's sketch proves the child row is absent from the
 //!   parent, and Content-Level Pruning can drop the edge without building
 //!   the parent's hash multiset. A `true` can be a false positive; callers
-//!   fall through to the exact check, which is what keeps the final graph
-//!   bit-identical with sketch gating on or off.
+//!   fall through to the exact check, which is why sketch gating never
+//!   changes the final graph.
 //! * **A sound distinct lower bound.** Each distinct value sets at most
 //!   [`SKETCH_PROBES`] bits, so `ceil(popcount / SKETCH_PROBES)` never
 //!   exceeds the true distinct count ([`ColumnSketch::min_distinct`]) —
@@ -27,7 +27,6 @@
 //! stops pruning — it never lies).
 
 use crate::row::RowHash;
-use serde::{Deserialize, Serialize};
 
 /// Number of bits in a [`ColumnSketch`].
 ///
@@ -45,7 +44,7 @@ const WORDS: usize = SKETCH_BITS / 64;
 
 /// A fixed-size bloom filter over the [`RowHash`]es of a column's non-null
 /// values. See the module docs for the soundness contract.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ColumnSketch {
     words: [u64; WORDS],
 }

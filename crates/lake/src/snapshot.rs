@@ -1,8 +1,7 @@
 //! Binary codecs for durable session snapshots.
 //!
-//! The serde shim in this offline workspace is a no-op marker, so everything
-//! that must survive a process restart is serialized through the same
-//! hand-written little-endian wire format the [`crate::storage`]
+//! Everything that must survive a process restart is serialized through the
+//! same hand-written little-endian wire format the [`crate::storage`]
 //! "mini-parquet" files use. This module holds the lake-owned pieces — the
 //! catalog with partitioned tables (data pages via [`storage::encode`]),
 //! access profiles and lineage, the access log, the meter totals, the typed
@@ -139,48 +138,17 @@ pub fn get_value(buf: &mut Bytes) -> Result<Value> {
 /// be bit-identical). The string-hashing counters are logical work and do
 /// persist.
 pub fn put_op_counts(buf: &mut BytesMut, c: &OpCounts) {
-    let c = &c.without_page_counters();
-    buf.put_u64_le(c.rows_scanned);
-    buf.put_u64_le(c.bytes_scanned);
-    buf.put_u64_le(c.rows_hashed);
-    buf.put_u64_le(c.row_comparisons);
-    buf.put_u64_le(c.metadata_lookups);
-    buf.put_u64_le(c.partitions_pruned);
-    buf.put_u64_le(c.partitions_scanned);
-    buf.put_u64_le(c.schema_comparisons);
-    buf.put_u64_le(c.distinct_prunes);
-    buf.put_u64_le(c.sketch_probes);
-    buf.put_u64_le(c.sketch_prunes);
-    buf.put_u64_le(c.pages_decoded);
-    buf.put_u64_le(c.pages_skipped);
-    buf.put_u64_le(c.string_hash_ops);
-    buf.put_u64_le(c.string_cells_hashed);
-    buf.put_u64_le(c.approx_probes);
-    buf.put_u64_le(c.approx_prunes);
+    for value in c.without_page_counters().to_array() {
+        buf.put_u64_le(value);
+    }
 }
 
 /// Read an [`OpCounts`] snapshot.
 pub fn get_op_counts(buf: &mut Bytes) -> Result<OpCounts> {
-    expect_len(buf, 136, "op counts")?;
-    Ok(OpCounts {
-        rows_scanned: buf.get_u64_le(),
-        bytes_scanned: buf.get_u64_le(),
-        rows_hashed: buf.get_u64_le(),
-        row_comparisons: buf.get_u64_le(),
-        metadata_lookups: buf.get_u64_le(),
-        partitions_pruned: buf.get_u64_le(),
-        partitions_scanned: buf.get_u64_le(),
-        schema_comparisons: buf.get_u64_le(),
-        distinct_prunes: buf.get_u64_le(),
-        sketch_probes: buf.get_u64_le(),
-        sketch_prunes: buf.get_u64_le(),
-        pages_decoded: buf.get_u64_le(),
-        pages_skipped: buf.get_u64_le(),
-        string_hash_ops: buf.get_u64_le(),
-        string_cells_hashed: buf.get_u64_le(),
-        approx_probes: buf.get_u64_le(),
-        approx_prunes: buf.get_u64_le(),
-    })
+    expect_len(buf, 8 * OpCounts::LEN, "op counts")?;
+    Ok(OpCounts::from_array(std::array::from_fn(|_| {
+        buf.get_u64_le()
+    })))
 }
 
 /// Append an [`AccessProfile`] (two `f64`s).

@@ -11,10 +11,9 @@
 use crate::signature::{MinHashSignature, SIGNATURE_K};
 use crate::sketch::ColumnSketch;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Per-column statistics kept as table / partition metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Minimum non-null value, if any non-null value exists.
     pub min: Option<Value>,
@@ -148,7 +147,7 @@ impl ColumnStats {
 
 /// Quantiles of a numeric column at the fractions used in §1.2 of the paper
 /// (0, 0.5, 0.8, 0.95, 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quantiles {
     /// The quantile fractions, in ascending order.
     pub fractions: Vec<f64>,

@@ -12,11 +12,10 @@ use crate::row::{combine_hashes, hash_single, Row, RowHash, RowHashMap};
 use crate::schema::Schema;
 use crate::stats::ColumnStats;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An immutable, in-memory, column-major table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
     columns: Vec<Column>,

@@ -23,10 +23,9 @@ use crate::error::{LakeError, Result};
 use crate::partition::PartitionedTable;
 use crate::query::Predicate;
 use crate::table::Table;
-use serde::{Deserialize, Serialize};
 
 /// One typed mutation of the data lake (the §7.1 update vocabulary).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LakeUpdate {
     /// Register a brand-new dataset under a fresh id.
     AddDataset {
@@ -74,7 +73,7 @@ impl LakeUpdate {
 }
 
 /// What a [`LakeUpdate`] actually did to the catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppliedUpdate {
     /// A new dataset was registered under `id`.
     Added {

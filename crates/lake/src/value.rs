@@ -8,12 +8,11 @@
 //! it was produced by a transformation or read back from storage.
 
 use crate::datatype::DataType;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
 /// A single scalar value in a table cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
     Null,

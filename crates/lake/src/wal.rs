@@ -123,7 +123,7 @@ pub struct WalWriter {
 /// Durability-cost counters of one [`WalWriter`] (and, summed across
 /// rotations, of a whole session — `r2d2_core`'s session accumulates them
 /// over WAL segments and generations). `fsyncs / records` is the
-/// group-commit amortization ratio the `serve-bench` experiment reports:
+/// group-commit amortization ratio (the benchmark's `serve.wal_fsyncs`):
 /// one-fsync-per-batch writes one record per batch, while a group commit
 /// folds many queued batches into one record and one fsync. `segments` and
 /// `segments_compacted` track the segment lifecycle: files created by

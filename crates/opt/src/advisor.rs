@@ -28,11 +28,10 @@ use crate::solver::{self, Solution, EXACT_COMPONENT_LIMIT};
 use r2d2_graph::diff::EdgeDelta;
 use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{DataLake, DatasetId, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of an [`AdvisorState`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdvisorConfig {
     /// Component-size threshold below which dirty components are re-solved
     /// exactly (see [`EXACT_COMPONENT_LIMIT`]).
@@ -83,7 +82,7 @@ pub enum DatasetChange {
 }
 
 /// What the last [`AdvisorState::advise`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolveStats {
     /// Weakly connected components of the current pruned problem.
     pub components_total: usize,
@@ -94,7 +93,7 @@ pub struct ResolveStats {
 }
 
 /// Savings summary returned by [`AdvisorState::report`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdvisorReport {
     /// The current Opt-Ret solution.
     pub solution: Solution,
@@ -544,7 +543,7 @@ fn get_solution(buf: &mut Bytes) -> Result<Solution> {
 }
 
 impl AdvisorState {
-    /// Serialize the complete advisor state — cost model, configuration,
+    /// Encode the complete advisor state — cost model, configuration,
     /// pruned problem, dirty set, per-component solution cache and the last
     /// merged solution — so a restored session re-advises without re-solving
     /// clean components. The encoding is canonical: maps are walked in key
@@ -802,7 +801,7 @@ impl AdvisorState {
         }
     }
 
-    /// Serialize only what changed since `base` was [captured](Self::capture):
+    /// Encode only what changed since `base` was [captured](Self::capture):
     /// removed + upserted nodes, edges and cached components, plus the small
     /// always-rewritten tail (dirty set, staleness, merged solution, resolve
     /// stats). Returns `None` when the cost model or config changed — those

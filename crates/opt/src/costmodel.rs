@@ -8,13 +8,11 @@
 //! (write ≈ 10× read, storage ≈ cents per GB-month); every field is
 //! configurable so experiments can sweep them.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of bytes per gigabyte used throughout the cost model.
 pub const BYTES_PER_GB: f64 = 1_073_741_824.0;
 
 /// Prices and latency estimates per unit of data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Storage cost per GB per billing period (hot tier, USD).
     pub storage_per_gb_period: f64,

@@ -16,10 +16,9 @@
 use crate::costmodel::CostModel;
 use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{DataLake, DatasetId, Result};
-use serde::{Deserialize, Serialize};
 
 /// How transformation knowledge is established for an edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransformKnowledge {
     /// Require a lineage record (catalog) or an explicit `transform`
     /// annotation on the edge; prune edges without one. This mirrors the
@@ -32,7 +31,7 @@ pub enum TransformKnowledge {
 }
 
 /// Statistics of a pre-processing pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PreprocessStats {
     /// Edges examined.
     pub edges_examined: usize,

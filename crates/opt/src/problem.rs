@@ -10,11 +10,10 @@
 use crate::costmodel::CostModel;
 use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{DataLake, DatasetId, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-node inputs of Eq. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeCosts {
     /// Dataset id of the node.
     pub dataset: u64,
@@ -27,7 +26,7 @@ pub struct NodeCosts {
 }
 
 /// Per-edge inputs of Eq. 3 (one reconstruction option).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconstructionEdge {
     /// Parent dataset (the reconstruction source).
     pub parent: u64,
@@ -38,7 +37,7 @@ pub struct ReconstructionEdge {
 }
 
 /// A complete Opt-Ret instance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OptRetProblem {
     /// Nodes, keyed by dataset id.
     pub nodes: BTreeMap<u64, NodeCosts>,

@@ -13,10 +13,9 @@ use crate::costmodel::{CostModel, BYTES_PER_GB};
 use crate::problem::OptRetProblem;
 use crate::solver::Solution;
 use r2d2_lake::{DataLake, DatasetId, Result};
-use serde::{Deserialize, Serialize};
 
 /// GDPR / privacy-scan savings of a deletion recommendation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GdprSavings {
     /// Number of datasets recommended for deletion.
     pub datasets_deleted: usize,
@@ -50,7 +49,7 @@ pub fn gdpr_savings(
 }
 
 /// Inputs of the Fig. 5 horizon projection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HorizonScenario {
     /// Total lake size in bytes (the paper uses 10 PB).
     pub lake_bytes: f64,
@@ -79,7 +78,7 @@ impl HorizonScenario {
 }
 
 /// Output of the horizon projection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HorizonSavings {
     /// Storage cost avoided over the horizon (USD).
     pub storage_savings: f64,
@@ -141,7 +140,7 @@ pub fn figure5_series(
 
 /// Quantify an Opt-Ret solution the way Table 7 does: deletion/retention node
 /// and edge counts plus GDPR savings.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Table7Row {
     /// Nodes recommended for deletion.
     pub deleted_nodes: usize,

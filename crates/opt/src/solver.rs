@@ -22,11 +22,10 @@
 //! greedy otherwise.
 
 use crate::problem::{AdjacencyIndex, OptRetProblem};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A (feasible) solution to an Opt-Ret instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Datasets to retain.
     pub retained: BTreeSet<u64>,

@@ -25,11 +25,10 @@ use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{AccessProfile, DataLake, Lineage, PartitionSpec, PartitionedTable, Result, Table};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// High-level shape of one customer org's data (controls the schema- and
 /// containment-similarity profile of the generated corpus).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrgProfile {
     /// Number of root tables.
     pub roots: usize,
@@ -64,7 +63,7 @@ pub struct OrgProfile {
 }
 
 /// Serializable stand-in for [`RootDomain`] (which lives in `roots`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DomainTag {
     /// Flat commerce tables.
     Transactions,
@@ -88,7 +87,7 @@ impl From<DomainTag> for RootDomain {
 }
 
 /// Full specification of a corpus to generate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusSpec {
     /// Corpus name (used as a prefix for dataset names).
     pub name: String,
@@ -210,7 +209,7 @@ impl CorpusSpec {
     /// schema and min-max pruning and are only rejected at content level —
     /// the workload where candidate generation being quadratic and every
     /// content check building a parent hash multiset actually hurt. Used by
-    /// the `containment-bench` experiment.
+    /// the shootout experiment and the benchmark's `wide_impostor` workload.
     pub fn wide(families: usize, rows_per_root: usize) -> Self {
         CorpusSpec {
             name: "wide".to_string(),
@@ -233,8 +232,9 @@ impl CorpusSpec {
     /// A **hostile** corpus: all four domains with half of all derivations
     /// drawn from the hostile repertoire (schema drift/renames, null
     /// floods, unicode-heavy strings, Int→Float type widening), the mess
-    /// profile of real open-data CSV corpora. Used by the `ingest-bench`
-    /// experiment to prove the end-to-end CSV ingest path (emit → parse →
+    /// profile of real open-data CSV corpora. Used by
+    /// `tests/integration_ingest.rs` and the benchmark's `tiny_hostile`
+    /// workload to prove the end-to-end CSV ingest path (emit → parse →
     /// session) reproduces batch graphs bit-identically on data that was
     /// not generated to pass. `roots = 8` yields 40 datasets.
     pub fn hostile(roots: usize, rows_per_root: usize) -> Self {

@@ -7,7 +7,7 @@
 //! become nested paths). Optionally each file is *sabotaged* with a
 //! deterministic sprinkle of malformed trailing rows — ragged rows and
 //! dangling quotes — that the ingest quarantine must absorb without
-//! changing the surviving rows; this is how the `ingest-bench` experiment
+//! changing the surviving rows; this is how `tests/integration_ingest.rs`
 //! proves hostile-vs-clean graph parity.
 //!
 //! Caveats inherited from the CSV dialect (see `r2d2_lake::csv`):

@@ -13,11 +13,10 @@
 use crate::zipf::Zipf;
 use r2d2_lake::{Column, DataType, Field, LakeError, Result, Schema, Table, Value};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The containment relation a transformation induces between the source
 /// table `S` and the derived table `D`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContainmentEffect {
     /// `D ⊆ S`: the derived table is contained in the source
     /// (row sampling, projections).
@@ -33,7 +32,7 @@ pub enum ContainmentEffect {
 }
 
 /// A transformation applied to a source table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Transform {
     /// `SELECT * FROM src WHERE col = value`, with the filter value drawn
     /// from the column's distinct values via a Zipf distribution with the

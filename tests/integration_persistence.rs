@@ -401,9 +401,29 @@ fn snapshot_only_restore_without_wal_records() {
         .unwrap();
     drop(durable);
 
-    // Empty WAL (header only): restore is pure snapshot decode.
+    // Empty WAL (header only): restore is pure snapshot decode — and
+    // metadata-only: no column page decodes until a query touches it, and
+    // touching one dataset decodes only a strict subset of what was skipped.
     let mut expected = advised_session(1);
     expected.advise().unwrap();
+    let probe = R2d2Session::restore(&dir).unwrap();
+    let skipped = probe.ops().pages_skipped;
+    assert!(skipped > 0, "the restore must leave pages lazy");
+    assert_eq!(
+        probe.ops().pages_decoded,
+        0,
+        "a clean-checkpoint restore must not decode column pages"
+    );
+    probe
+        .lake()
+        .query_dataset(DatasetId(0), &Predicate::True, Some(16))
+        .unwrap();
+    let decoded = probe.ops().pages_decoded;
+    assert!(
+        decoded > 0 && decoded < skipped,
+        "touching one dataset decoded {decoded} of {skipped} skipped pages"
+    );
+    drop(probe);
     let mut restored = R2d2Session::restore(&dir).unwrap();
     assert_sessions_identical(&mut restored, &mut expected, "empty WAL");
 
@@ -527,6 +547,59 @@ fn compaction_rotates_generations_and_prunes_old_files() {
     }
     let mut restored = R2d2Session::restore(&dir).unwrap();
     assert_sessions_identical(&mut restored, &mut expected, "after compaction");
+    std::fs::remove_dir_all(&dir).ok();
+
+    // On a lake wide enough for "one dataset" to be a small share of it, a
+    // delta is O(dirtied state): each single-dataset update (append, delete,
+    // add) checkpoints into at most 10% of the full snapshot it chains onto.
+    let dir = scratch_dir("compaction_delta_ratio");
+    use r2d2_synth::corpus::{generate, CorpusSpec};
+    let lake = generate(&CorpusSpec::enterprise_like(0, 96)).unwrap().lake;
+    let id = lake.ids()[0];
+    let rows = lake
+        .dataset(id)
+        .unwrap()
+        .data
+        .to_table(&Meter::new())
+        .unwrap();
+    let key = rows.schema().names()[0].to_string();
+    let single_dataset_updates = [
+        LakeUpdate::AppendRows {
+            id,
+            rows: rows.take(&[0, 1, 2, 3]).unwrap(),
+        },
+        LakeUpdate::DeleteRows {
+            id,
+            predicate: Predicate::eq(key.clone(), rows.column(&key).unwrap().values()[0].clone()),
+        },
+        LakeUpdate::AddDataset {
+            name: "half".into(),
+            data: part(
+                rows.take(&(0..rows.num_rows() / 2).collect::<Vec<_>>())
+                    .unwrap(),
+            ),
+            access: AccessProfile::default(),
+            lineage: None,
+        },
+    ];
+    let mut wide = R2d2Session::bootstrap(lake, config(1)).unwrap();
+    wide.enable_persistence(PersistenceConfig::new(&dir).with_snapshot_every(0))
+        .unwrap();
+    let full = std::fs::metadata(dir.join("snapshot-000001.r2d2snap"))
+        .unwrap()
+        .len();
+    for update in single_dataset_updates {
+        wide.apply(update).unwrap();
+        let seq = wide.checkpoint().unwrap();
+        let delta = std::fs::metadata(dir.join(format!("snapshot-{seq:06}.r2d2snap")))
+            .unwrap()
+            .len();
+        assert!(
+            delta * 10 <= full,
+            "generation {seq}: a single-dataset delta ({delta} B) must cost at most 10% of \
+             a full snapshot ({full} B)"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
