@@ -9,18 +9,91 @@
 //! show the trade-off. Signatures are built over row-tuple hashes projected
 //! onto the child schema (the same canonical row identity the rest of the
 //! system uses).
-//!
-//! The signature type itself lives in the lake crate
-//! ([`r2d2_lake::MinHashSignature`], re-exported here), where the pipeline's
-//! approximate candidate tier ([§6]'s shootout subject) builds it
-//! incrementally from per-column statistics instead of the full scans this
-//! baseline pays — same estimator, different construction cost.
-//!
-//! [§6]: https://doi.org/10.1145/3588710
 
-pub use r2d2_lake::{LshIndex, MinHashSignature, SIGNATURE_K};
+use r2d2_lake::{Meter, PartitionedTable, Result, RowHash};
 
-use r2d2_lake::{Meter, PartitionedTable, Result};
+/// The `i`-th hash permutation: xor-multiply-shift (splitmix-derived
+/// constants), distinct per permutation index.
+fn permute(hash: u64, i: u64) -> u64 {
+    let mut x = hash ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 1));
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// A MinHash signature: the minimum hash value under `k` independent hash
+/// functions (implemented as xor-multiply-shift permutations of the 128-bit
+/// row hash folded to 64 bits).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MinHashSignature {
+    mins: Vec<u64>,
+    /// Number of distinct elements the signature was built from.
+    pub cardinality: usize,
+}
+
+impl MinHashSignature {
+    /// Build a signature with `k` permutations from an iterator of row hashes.
+    pub fn build<I: IntoIterator<Item = RowHash>>(hashes: I, k: usize) -> Self {
+        assert!(k > 0, "need at least one permutation");
+        let mut mins = vec![u64::MAX; k];
+        let mut seen = std::collections::HashSet::new();
+        for h in hashes {
+            let folded = (h.0 as u64) ^ ((h.0 >> 64) as u64);
+            seen.insert(folded);
+            for (i, slot) in mins.iter_mut().enumerate() {
+                let p = permute(folded, i as u64);
+                if p < *slot {
+                    *slot = p;
+                }
+            }
+        }
+        MinHashSignature {
+            mins,
+            cardinality: seen.len(),
+        }
+    }
+
+    /// Number of permutations.
+    pub fn len(&self) -> usize {
+        self.mins.len()
+    }
+
+    /// Whether the signature is empty (zero elements hashed).
+    pub fn is_empty(&self) -> bool {
+        self.cardinality == 0
+    }
+
+    /// Estimated Jaccard similarity with another signature (fraction of
+    /// matching minima).
+    pub fn jaccard(&self, other: &MinHashSignature) -> f64 {
+        assert_eq!(self.len(), other.len(), "signatures must use the same k");
+        if self.is_empty() && other.is_empty() {
+            return 1.0;
+        }
+        let matches = self
+            .mins
+            .iter()
+            .zip(&other.mins)
+            .filter(|(a, b)| a == b)
+            .count();
+        matches as f64 / self.len() as f64
+    }
+
+    /// Estimated containment of `self`'s set in `other`'s set, via the
+    /// Jaccard-to-containment conversion LSH-Ensemble uses:
+    /// `C ≈ J·(|A| + |B|) / (|A|·(1 + J))`.
+    pub fn containment_in(&self, other: &MinHashSignature) -> f64 {
+        if self.cardinality == 0 {
+            return 1.0;
+        }
+        let j = self.jaccard(other);
+        let a = self.cardinality as f64;
+        let b = other.cardinality as f64;
+        (j * (a + b) / (a * (1.0 + j))).clamp(0.0, 1.0)
+    }
+}
 
 /// Estimate the containment of `child` in `parent` via MinHash signatures
 /// over row hashes projected onto the child's schema. Both tables are fully
@@ -54,7 +127,7 @@ pub fn minhash_containment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use r2d2_lake::{Column, DataType, RowHash, Schema, Table};
+    use r2d2_lake::{Column, DataType, Schema, Table};
 
     fn table(ids: std::ops::Range<i64>) -> PartitionedTable {
         let schema = Schema::flat(&[("id", DataType::Int)]).unwrap();

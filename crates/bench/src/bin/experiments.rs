@@ -147,7 +147,7 @@ fn fig6(scale: Scale) {
 }
 
 fn shootout_bench_cmd(scale: Scale) {
-    println!("== Shootout: baseline precision/recall/runtime vs ground truth, exact vs approx ==");
+    println!("== Shootout: baseline precision/recall/runtime vs ground truth ==");
     let snapshot = shootout_bench::collect(scale == Scale::Smoke);
     println!("{}", snapshot.render());
     if scale == Scale::Smoke {

@@ -3,8 +3,8 @@
 //! the no-panic / no-misdecode contract before reporting the tallies.
 //!
 //! This is a robustness gate, not a timing benchmark: `collect` *asserts*
-//! that every mutation of every format — `R2D2LAKE` v5, `R2D2SNAP` v5,
-//! `R2D2WAL` v5 and the graph codec — either decodes faithfully (proven by
+//! that every mutation of every format — `R2D2LAKE` v6, `R2D2SNAP` v6,
+//! `R2D2WAL` v6 and the graph codec — either decodes faithfully (proven by
 //! a re-encode round trip) or fails with a typed error. A panic or a
 //! silent misdecode anywhere fails the run.
 

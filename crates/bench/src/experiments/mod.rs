@@ -9,18 +9,6 @@ pub mod schema_baselines;
 pub mod shootout_bench;
 
 use r2d2_synth::corpus::{generate, Corpus, CorpusSpec};
-use std::time::{Duration, Instant};
-
-/// Best-of-`reps` wall clock of `f`.
-pub fn time_best<F: FnMut()>(reps: usize, mut f: F) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed());
-    }
-    best
-}
 
 /// A graph's edges in canonical (sorted) order, for cross-run comparison.
 pub fn sorted_edges(graph: &r2d2_graph::ContainmentGraph) -> Vec<(u64, u64)> {

@@ -1,7 +1,6 @@
-//! §6 baseline shootout (`BENCH_shootout.json`): precision, recall, and
-//! runtime of every re-implemented discovery baseline against the
-//! brute-force ground truth on the wide corpus, plus the exact-vs-approx
-//! end-to-end comparison for the R2D2 pipeline itself.
+//! §6.4 baseline shootout (`BENCH_shootout.json`): precision, recall, and
+//! runtime of every re-implemented discovery baseline, and of R2D2 itself,
+//! against the brute-force ground truth on the wide corpus.
 //!
 //! The method rows mirror §6.4's comparison set:
 //!
@@ -20,20 +19,15 @@
 //! * **Schema classifier** — random forest over schema-pair features,
 //!   trained on the ground-truth schema graph (Table 4's protocol),
 //!   predicting over every ordered pair.
-//! * **R2D2 (exact / approx)** — the full pipeline with the candidate
-//!   source seam set to [`r2d2_core::ExactCandidates`] or
-//!   [`r2d2_core::ApproxCandidates`].
+//! * **R2D2** — the full SGB → MMP → CLP pipeline at its defaults.
 //!
-//! Soundness is asserted before any timing (and in CI via `--smoke`): the
-//! exact pipeline is bit-identical at 1 and 4 threads, the approx tier
-//! converges to the exact final graph (its SGB stage may admit *fewer*
-//! candidates — a subset — never more), every by-construction containment
-//! edge survives both modes, and the approx gate actually fired
-//! (`approx_probes > 0`). The headline acceptance number is
-//! `approx_recall_vs_truth >= 0.95`, measured — not assumed — against the
-//! brute-force ground truth.
+//! Soundness is asserted before any scoring (and in CI via `--smoke`): the
+//! pipeline's final graph is bit-identical at 1 and 4 threads, and every
+//! by-construction containment edge survives it. Every row is one timed
+//! run; before/after timing of the pipeline belongs to the `benchmark`
+//! binary, not here.
 
-use super::{sorted_edges, time_best, wide_corpus};
+use super::{sorted_edges, wide_corpus};
 use crate::report::TextTable;
 use r2d2_baselines::ground_truth::content_ground_truth;
 use r2d2_baselines::josie::InvertedIndex;
@@ -41,7 +35,7 @@ use r2d2_baselines::kmeans::kmeans_schema_graph;
 use r2d2_baselines::lcjoin::{columns_as_sets_graph, rows_as_sets_graph};
 use r2d2_baselines::minhash::MinHashSignature;
 use r2d2_baselines::schema_classifier::{build_training_set, pair_features, RandomForest};
-use r2d2_core::{ApproxConfig, PipelineConfig, R2d2Pipeline, Stage};
+use r2d2_core::{PipelineConfig, R2d2Pipeline};
 use r2d2_graph::diff::diff;
 use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{DataLake, Meter, SchemaSet};
@@ -91,22 +85,6 @@ pub struct ShootoutSnapshot {
     pub ground_truth_ms: f64,
     /// One row per method, in presentation order.
     pub methods: Vec<MethodLine>,
-    /// End-to-end wall clock of the exact pipeline.
-    pub exact_total: Duration,
-    /// End-to-end wall clock of the approx-tier pipeline (per-edge
-    /// reporting disabled so both modes time discovery alone).
-    pub approx_total: Duration,
-    /// Recall of the approx pipeline's final graph against the brute-force
-    /// ground truth — the measured number behind the ≥ 0.95 acceptance bar.
-    pub approx_recall_vs_truth: f64,
-    /// Recall of the approx final graph against the exact final graph
-    /// (1.0 by the bit-identity assertion; recorded as evidence).
-    pub approx_recall_vs_exact: f64,
-    /// Signature probes the approx SGB gate performed.
-    pub approx_probes: u64,
-    /// Candidate pairs the approx SGB gate pruned before any schema
-    /// comparison.
-    pub approx_prunes: u64,
 }
 
 fn ms(d: Duration) -> f64 {
@@ -239,17 +217,6 @@ fn classifier_graph(
 }
 
 impl ShootoutSnapshot {
-    /// `exact / approx` end-to-end speedup (> 1 means the approx tier is
-    /// faster).
-    pub fn speedup(&self) -> f64 {
-        let approx = self.approx_total.as_secs_f64();
-        if approx == 0.0 {
-            f64::INFINITY
-        } else {
-            self.exact_total.as_secs_f64() / approx
-        }
-    }
-
     /// Render as a stable, hand-rolled JSON document.
     pub fn to_json(&self) -> String {
         let methods: Vec<String> = self
@@ -269,20 +236,13 @@ impl ShootoutSnapshot {
             })
             .collect();
         format!(
-            "{{\n  \"generated_by\": \"cargo run -p r2d2-bench --release --bin experiments -- shootout-bench\",\n  \"corpus\": {{ \"name\": \"{}\", \"datasets\": {}, \"rows\": {}, \"ground_truth_edges\": {}, \"ground_truth_ms\": {:.3} }},\n  \"methods\": [\n    {}\n  ],\n  \"end_to_end\": {{ \"exact_ms\": {:.3}, \"approx_ms\": {:.3}, \"speedup\": {}, \"approx_recall_vs_truth\": {}, \"approx_recall_vs_exact\": {} }},\n  \"approx_gate\": {{ \"probes\": {}, \"prunes\": {} }}\n}}\n",
+            "{{\n  \"generated_by\": \"cargo run -p r2d2-bench --release --bin experiments -- shootout-bench\",\n  \"corpus\": {{ \"name\": \"{}\", \"datasets\": {}, \"rows\": {}, \"ground_truth_edges\": {}, \"ground_truth_ms\": {:.3} }},\n  \"methods\": [\n    {}\n  ]\n}}\n",
             self.corpus_name,
             self.datasets,
             self.rows,
             self.ground_truth_edges,
             self.ground_truth_ms,
             methods.join(",\n    "),
-            ms(self.exact_total),
-            ms(self.approx_total),
-            json_ratio(self.speedup()),
-            json_ratio(self.approx_recall_vs_truth),
-            json_ratio(self.approx_recall_vs_exact),
-            self.approx_probes,
-            self.approx_prunes,
         )
     }
 
@@ -309,17 +269,10 @@ impl ShootoutSnapshot {
             ]);
         }
         format!(
-            "{}\nground truth: {} edges in {:.3} ms (brute force)\nend-to-end: exact {:.3} ms vs approx {:.3} ms = {:.2}x at measured recall {:.4} (vs exact: {:.4})\napprox gate: {} probes, {} prunes\n",
+            "{}\nground truth: {} edges in {:.3} ms (brute force)\n",
             t.render(),
             self.ground_truth_edges,
             self.ground_truth_ms,
-            ms(self.exact_total),
-            ms(self.approx_total),
-            self.speedup(),
-            self.approx_recall_vs_truth,
-            self.approx_recall_vs_exact,
-            self.approx_probes,
-            self.approx_prunes,
         )
     }
 }
@@ -331,7 +284,6 @@ impl ShootoutSnapshot {
 /// full size.
 pub fn collect(smoke: bool) -> ShootoutSnapshot {
     let corpus = wide_corpus(smoke);
-    let reps = if smoke { 1 } else { 3 };
     let lake = &corpus.lake;
     let ids: Vec<u64> = lake.iter().map(|e| e.id.0).collect();
     let schemas: Vec<(u64, SchemaSet)> = lake
@@ -346,87 +298,24 @@ pub fn collect(smoke: bool) -> ShootoutSnapshot {
     let ground_truth_ms = ms(t0.elapsed());
     let truth = &gt.containment_graph;
 
-    // --- Soundness before timing (also exercised by `--smoke` in CI). ---
-    let exact_cfg = PipelineConfig::default();
-    // Per-edge reporting off so exact and approx both time discovery alone.
-    let approx_cfg = exact_cfg
-        .clone()
-        .with_approx(ApproxConfig::default().with_report(0, 0.95));
-
-    corpus.lake.meter().reset();
-    let exact_report = R2d2Pipeline::new(exact_cfg.clone()).run(lake).unwrap();
-    corpus.lake.meter().reset();
-    let approx_report = R2d2Pipeline::new(approx_cfg.clone()).run(lake).unwrap();
-    let exact_t4 = R2d2Pipeline::new(exact_cfg.clone().with_threads(4))
+    // --- Soundness before scoring (also exercised by `--smoke` in CI). ---
+    let t0 = Instant::now();
+    let report = R2d2Pipeline::with_defaults().run(lake).unwrap();
+    let r2d2_elapsed = t0.elapsed();
+    let report_t4 = R2d2Pipeline::new(PipelineConfig::default().with_threads(4))
         .run(lake)
         .unwrap();
-    let approx_t4 = R2d2Pipeline::new(approx_cfg.clone().with_threads(4))
-        .run(lake)
-        .unwrap();
-
-    // 1. Exact mode is bit-identical across thread counts (approx off).
-    let exact_final = sorted_edges(exact_report.final_graph());
     assert_eq!(
-        exact_final,
-        sorted_edges(exact_t4.final_graph()),
-        "exact pipeline must be bit-identical at 1 and 4 threads"
+        sorted_edges(report.final_graph()),
+        sorted_edges(report_t4.final_graph()),
+        "pipeline must be bit-identical at 1 and 4 threads"
     );
-    // 2. So is the approx tier.
-    let approx_final = sorted_edges(approx_report.final_graph());
-    assert_eq!(
-        approx_final,
-        sorted_edges(approx_t4.final_graph()),
-        "approx pipeline must be bit-identical at 1 and 4 threads"
-    );
-    // 3. The approx tier converges to the exact final graph.
-    assert_eq!(
-        exact_final, approx_final,
-        "approx tier must converge to the exact final graph"
-    );
-    // 4. Approx SGB admits a subset of the exact candidates, never more.
-    let exact_sgb = sorted_edges(&exact_report.after_sgb);
-    for edge in sorted_edges(&approx_report.after_sgb) {
-        assert!(
-            exact_sgb.binary_search(&edge).is_ok(),
-            "approx SGB admitted a candidate exact SGB lacks: {edge:?}"
-        );
-    }
-    // 5. Every by-construction containment edge survives both modes.
     for (p, c) in corpus.expected.edges() {
         assert!(
-            exact_report.final_graph().has_edge(p, c),
-            "exact pipeline lost the true containment edge {p} -> {c}"
-        );
-        assert!(
-            approx_report.final_graph().has_edge(p, c),
-            "approx tier pruned the true containment edge {p} -> {c}"
+            report.final_graph().has_edge(p, c),
+            "pipeline lost the true containment edge {p} -> {c}"
         );
     }
-    // 6. The gate actually fired.
-    let approx_sgb_ops = approx_report
-        .stage(Stage::Sgb)
-        .expect("SGB stage present")
-        .ops;
-    assert!(
-        approx_sgb_ops.approx_probes > 0,
-        "the approx run must probe signatures"
-    );
-
-    let approx_recall_vs_truth = diff(approx_report.final_graph(), truth).recall();
-    assert!(
-        approx_recall_vs_truth >= 0.95,
-        "measured approx recall {approx_recall_vs_truth} below the 0.95 acceptance bar"
-    );
-    let approx_recall_vs_exact =
-        diff(approx_report.final_graph(), exact_report.final_graph()).recall();
-
-    // --- Timing. ---
-    let exact_total = time_best(reps, || {
-        R2d2Pipeline::new(exact_cfg.clone()).run(lake).unwrap();
-    });
-    let approx_total = time_best(reps, || {
-        R2d2Pipeline::new(approx_cfg.clone()).run(lake).unwrap();
-    });
 
     // --- Method rows (single timed run each; construction included). ---
     let mut methods = Vec::new();
@@ -450,16 +339,10 @@ pub fn collect(smoke: bool) -> ShootoutSnapshot {
     let g = classifier_graph(&schemas, &gt.schema_graph, &ids, 42);
     methods.push(method_line("Schema classifier", &g, truth, t0.elapsed()));
     methods.push(method_line(
-        "R2D2 (exact)",
-        exact_report.final_graph(),
+        "R2D2",
+        report.final_graph(),
         truth,
-        exact_total,
-    ));
-    methods.push(method_line(
-        "R2D2 (approx)",
-        approx_report.final_graph(),
-        truth,
-        approx_total,
+        r2d2_elapsed,
     ));
 
     ShootoutSnapshot {
@@ -469,12 +352,6 @@ pub fn collect(smoke: bool) -> ShootoutSnapshot {
         ground_truth_edges: truth.edge_count(),
         ground_truth_ms,
         methods,
-        exact_total,
-        approx_total,
-        approx_recall_vs_truth,
-        approx_recall_vs_exact,
-        approx_probes: approx_sgb_ops.approx_probes,
-        approx_prunes: approx_sgb_ops.approx_prunes,
     }
 }
 
@@ -485,34 +362,21 @@ mod tests {
     #[test]
     fn snapshot_renders_and_upholds_the_shootout_contract() {
         let snap = collect(true);
-        assert_eq!(snap.methods.len(), 8, "all eight method rows present");
+        assert_eq!(snap.methods.len(), 7, "all seven method rows present");
         let r2d2 = snap
             .methods
             .iter()
-            .find(|m| m.method == "R2D2 (exact)")
-            .expect("exact row present");
+            .find(|m| m.method == "R2D2")
+            .expect("R2D2 row present");
         assert_eq!(
             r2d2.not_detected, 0,
-            "the exact pipeline has perfect recall on the wide corpus"
+            "the pipeline has perfect recall on the wide corpus"
         );
-        let approx = snap
-            .methods
-            .iter()
-            .find(|m| m.method == "R2D2 (approx)")
-            .expect("approx row present");
-        assert_eq!(
-            approx.recall, r2d2.recall,
-            "final graphs are bit-identical, so the scores must match"
-        );
-        assert!(snap.approx_recall_vs_truth >= 0.95);
-        assert!((snap.approx_recall_vs_exact - 1.0).abs() < 1e-12);
-        assert!(snap.approx_probes > 0);
         let json = snap.to_json();
         assert!(json.contains("\"methods\""));
-        assert!(json.contains("approx_recall_vs_truth"));
-        assert!(json.contains("approx_gate"));
+        assert!(json.contains("\"method\": \"R2D2\""));
         let rendered = snap.render();
-        assert!(rendered.contains("R2D2 (approx)"));
-        assert!(rendered.contains(&format!("= {:.2}x", snap.speedup())));
+        assert!(rendered.contains("R2D2"));
+        assert!(rendered.contains("ground truth:"));
     }
 }

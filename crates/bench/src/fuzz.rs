@@ -1,8 +1,8 @@
 //! Deterministic structured-mutation fuzzing of every on-disk decoder.
 //!
 //! The durability story of this repo rests on four binary formats — the
-//! `R2D2LAKE` v5 column file, the `R2D2SNAP` v5 session snapshot, the
-//! `R2D2WAL` v5 segment, and the graph codec inside snapshots — all of
+//! `R2D2LAKE` v6 column file, the `R2D2SNAP` v6 session snapshot, the
+//! `R2D2WAL` v6 segment, and the graph codec inside snapshots — all of
 //! which must treat arbitrary bytes as *data, never as trusted structure*.
 //! This module drives each decoder with a seeded stream of structured
 //! mutations of a known-good artifact (truncations, byte flips,
@@ -244,7 +244,7 @@ fn materialize(table: &PartitionedTable) -> Option<Vec<Vec<Value>>> {
     Some(all)
 }
 
-/// Sweep the `R2D2LAKE` v5 column-file decoder. Oracle: an accepted decode
+/// Sweep the `R2D2LAKE` v6 column-file decoder. Oracle: an accepted decode
 /// must materialize every page, and re-encoding the decoded table must
 /// decode back to the same values and schema.
 pub fn sweep_lake(mutations: usize, seed: u64) -> FormatOutcome {
@@ -287,7 +287,7 @@ fn base_session() -> R2d2Session {
     R2d2Session::bootstrap(lake, PipelineConfig::default().with_seed(0xF0)).expect("bootstrap")
 }
 
-/// Sweep the `R2D2SNAP` v5 snapshot decoder. Oracle: a snapshot that
+/// Sweep the `R2D2SNAP` v6 snapshot decoder. Oracle: a snapshot that
 /// restores `Ok` must be *stable* — snapshotting the restored session and
 /// restoring again must reproduce identical snapshot bytes (otherwise the
 /// accepted bytes were misread into a different session state).
@@ -310,7 +310,7 @@ pub fn sweep_snapshot(mutations: usize, seed: u64) -> FormatOutcome {
     })
 }
 
-/// Sweep the `R2D2WAL` v5 segment reader, using `scratch` for the one file
+/// Sweep the `R2D2WAL` v6 segment reader, using `scratch` for the one file
 /// the reader needs on disk. Oracle: every mutation must either read `Ok`
 /// (intact prefix, possibly with a dropped tail — that is the torn-append
 /// contract) or return a typed error; record checksums make a silently

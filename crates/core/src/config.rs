@@ -22,83 +22,6 @@ pub enum ClpSampling {
     BothSides,
 }
 
-/// Configuration of the optional **approximate candidate tier**: MinHash
-/// signatures gate SGB's candidate pairs before the exact subset check
-/// ([`crate::sgb::ApproxCandidates`]), opening the scale ceiling for lakes
-/// where even sub-quadratic exact candidate generation is too slow.
-///
-/// A candidate pair is admitted when the tables' LSH band hashes collide in
-/// any band **or** the domination-based containment estimate
-/// ([`r2d2_lake::MinHashSignature::containment_estimate_in`]) reaches
-/// `threshold`. Because that estimate is exactly `1.0` for true containment
-/// pairs, any `threshold ≤ 1.0` only ever prunes provably-false pairs — the
-/// final graph stays identical; only the work to reach it shrinks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApproxConfig {
-    /// Signature size `k` (number of MinHash permutations) the tier gates
-    /// with. Clamped to the persisted size
-    /// ([`r2d2_lake::SIGNATURE_K`]); smaller `k` uses a prefix of the
-    /// stored signature — cheaper probes, coarser estimates.
-    pub signature_k: usize,
-    /// Number of LSH bands (`bands · rows ≤ signature_k`).
-    pub lsh_bands: usize,
-    /// Rows (signature minima) per LSH band.
-    pub lsh_rows: usize,
-    /// Containment-estimate admission threshold in `[0, 1]`. `1.0` admits
-    /// only pairs with zero domination evidence against them; lower values
-    /// admit more borderline pairs (more exact work, same final graph).
-    pub threshold: f64,
-    /// Rows sampled per reported edge by the §7.2.2 Hoeffding containment
-    /// estimator attached to the final graph's edges when the tier is on
-    /// ([`crate::pipeline::PipelineReport::approx_edges`]). `0` disables the
-    /// report.
-    pub report_samples: usize,
-    /// Confidence level for the Hoeffding bound on reported edges.
-    pub report_confidence: f64,
-}
-
-impl Default for ApproxConfig {
-    fn default() -> Self {
-        ApproxConfig {
-            signature_k: 64,
-            lsh_bands: 8,
-            lsh_rows: 4,
-            threshold: 0.5,
-            report_samples: 32,
-            report_confidence: 0.95,
-        }
-    }
-}
-
-impl ApproxConfig {
-    /// Override the signature size `k`.
-    pub fn with_signature_k(mut self, k: usize) -> Self {
-        self.signature_k = k;
-        self
-    }
-
-    /// Override the LSH banding scheme.
-    pub fn with_lsh(mut self, bands: usize, rows: usize) -> Self {
-        self.lsh_bands = bands;
-        self.lsh_rows = rows;
-        self
-    }
-
-    /// Override the containment-estimate admission threshold.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Override the per-edge Hoeffding report parameters (`samples = 0`
-    /// disables the edge report).
-    pub fn with_report(mut self, samples: usize, confidence: f64) -> Self {
-        self.report_samples = samples;
-        self.report_confidence = confidence;
-        self
-    }
-}
-
 /// Configuration of the R2D2 pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
@@ -117,16 +40,18 @@ pub struct PipelineConfig {
     /// Seed for all randomised choices (column sampling, row sampling), so
     /// that experiments are reproducible.
     pub seed: u64,
-    /// If true, MMP only considers columns whose declared type supports
-    /// min/max statistics (numeric, timestamp, string); if false it uses
-    /// every common column that happens to have statistics.
-    pub mmp_typed_columns_only: bool,
     /// Enable the MMP **distinct-count gate**: on any common column, a sound
     /// metadata-only lower bound on the child's distinct count exceeding the
     /// parent's (upper-bounded) distinct count disproves containment, so the
     /// edge is pruned without reading a row. Like the min/max check itself
     /// this only ever removes provably-false edges (it can improve precision
     /// over a run without the gate, never recall).
+    ///
+    /// This knob stays because its two settings produce different graphs:
+    /// `false` is Algorithm 2 exactly as published (min/max only), and the
+    /// reference that
+    /// `integration_sketch::distinct_gate_only_removes_edges_and_keeps_every_true_edge`
+    /// compares the gated run against.
     pub mmp_distinct_gate: bool,
     /// Number of worker threads for the data-parallel stages (SGB step 6
     /// pair checks, MMP per-edge metadata checks, CLP per-edge sampling and
@@ -135,10 +60,6 @@ pub struct PipelineConfig {
     /// identical graphs and meter totals — see the determinism test in
     /// `tests/integration_parallel.rs`.
     pub threads: usize,
-    /// Optional approximate candidate tier (`None` = exact candidate
-    /// generation only, byte-for-byte the pre-refactor behaviour). See
-    /// [`ApproxConfig`].
-    pub approx: Option<ApproxConfig>,
 }
 
 impl Default for PipelineConfig {
@@ -149,10 +70,8 @@ impl Default for PipelineConfig {
             clp_rounds: 1,
             clp_sampling: ClpSampling::PredicateFilter,
             seed: 0x5eed,
-            mmp_typed_columns_only: true,
             mmp_distinct_gate: true,
             threads: 1,
-            approx: None,
         }
     }
 }
@@ -188,12 +107,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Restrict (or not) MMP to columns whose type supports min/max stats.
-    pub fn with_mmp_typed_columns_only(mut self, typed_only: bool) -> Self {
-        self.mmp_typed_columns_only = typed_only;
-        self
-    }
-
     /// Enable or disable the MMP distinct-count gate.
     pub fn with_mmp_distinct_gate(mut self, enabled: bool) -> Self {
         self.mmp_distinct_gate = enabled;
@@ -204,18 +117,6 @@ impl PipelineConfig {
     /// hardware threads).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Enable the approximate candidate tier with the given knobs.
-    pub fn with_approx(mut self, approx: ApproxConfig) -> Self {
-        self.approx = Some(approx);
-        self
-    }
-
-    /// Disable the approximate candidate tier (the default).
-    pub fn without_approx(mut self) -> Self {
-        self.approx = None;
         self
     }
 }
@@ -247,43 +148,17 @@ mod tests {
             .with_seed(7)
             .with_sampling(ClpSampling::RandomRows)
             .with_threads(4)
-            .with_clp_rounds(3)
-            .with_mmp_typed_columns_only(false);
+            .with_clp_rounds(3);
         assert_eq!(c.clp_columns, 8);
         assert_eq!(c.clp_rows, 30);
         assert_eq!(c.seed, 7);
         assert_eq!(c.clp_sampling, ClpSampling::RandomRows);
         assert_eq!(c.threads, 4);
         assert_eq!(c.clp_rounds, 3);
-        assert!(!c.mmp_typed_columns_only);
     }
 
     #[test]
     fn default_is_sequential() {
         assert_eq!(PipelineConfig::default().threads, 1);
-    }
-
-    #[test]
-    fn approx_tier_defaults_off_and_builds() {
-        assert_eq!(PipelineConfig::default().approx, None);
-        let a = ApproxConfig::default();
-        assert_eq!(a.signature_k, 64);
-        assert!(a.lsh_bands * a.lsh_rows <= a.signature_k);
-        let c = PipelineConfig::default().with_approx(
-            ApproxConfig::default()
-                .with_signature_k(32)
-                .with_lsh(4, 8)
-                .with_threshold(0.8)
-                .with_report(16, 0.99),
-        );
-        let approx = c.approx.unwrap();
-        assert_eq!(approx.signature_k, 32);
-        assert_eq!((approx.lsh_bands, approx.lsh_rows), (4, 8));
-        assert_eq!(approx.threshold, 0.8);
-        assert_eq!(
-            (approx.report_samples, approx.report_confidence),
-            (16, 0.99)
-        );
-        assert_eq!(c.without_approx().approx, None);
     }
 }

@@ -157,17 +157,8 @@ pub(crate) struct VerifyOutcome {
 
 /// Verify candidate pairs on up to `config.threads` workers, returning
 /// outcomes aligned with `pairs`. Each pair runs the same checks the batch
-/// pipeline would: the optional approximate MinHash gate
-/// ([`crate::sgb::ApproxCandidates`], when [`PipelineConfig::approx`] is
-/// set), then interned schema containment, the MMP metadata check, and the
-/// CLP sampling check through the shared `cache`.
-///
-/// The gate is rebuilt per sweep from the lake's per-column signature
-/// stats — cheap (no row rehashing) and automatically current with the
-/// batch's mutations. Like in batch SGB, a gated-out pair is metered as an
-/// `approx_prune` and fails without counting a schema comparison; because
-/// the gate only rejects provably-false pairs, the resulting graph is still
-/// bit-identical to an exact sweep.
+/// pipeline would: interned schema containment, the MMP metadata check, and
+/// the CLP sampling check through the shared `cache`.
 pub(crate) fn verify_pairs(
     lake: &DataLake,
     pairs: &[(u64, u64)],
@@ -176,20 +167,7 @@ pub(crate) fn verify_pairs(
     cache: &HashJoinCache,
     meter: &Meter,
 ) -> Result<Vec<VerifyOutcome>> {
-    let source = config
-        .approx
-        .as_ref()
-        .map(|approx| crate::sgb::ApproxCandidates::build(lake, approx, meter));
     crate::fanout::try_parallel_map(config.threads, pairs, |&(parent, child)| {
-        if let Some(source) = &source {
-            use crate::sgb::CandidateSource;
-            if !source.admit(parent, child) {
-                return Ok(VerifyOutcome {
-                    pass: false,
-                    rows_sampled: 0,
-                });
-            }
-        }
         verify_pair(lake, parent, child, schemas, config, cache, meter)
     })
 }
@@ -386,37 +364,6 @@ mod tests {
             (passes, sampled, meter.snapshot())
         };
         assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn approx_gate_prunes_disjoint_pairs_without_sampling() {
-        let (lake, a, b, c) = lake3();
-        let schemas = interned(&lake);
-        let config = PipelineConfig::default().with_approx(crate::config::ApproxConfig::default());
-        let cache = HashJoinCache::new();
-        let meter = Meter::new();
-        let pairs = vec![(a, b), (a, c)];
-        let outcomes = verify_pairs(&lake, &pairs, &schemas, &config, &cache, &meter).unwrap();
-        assert!(outcomes[0].pass, "true containment admitted and verified");
-        assert!(!outcomes[1].pass, "disjoint pair fails");
-        let ops = meter.snapshot();
-        assert!(ops.approx_probes > 0, "gate must have probed");
-        assert!(ops.approx_prunes > 0, "disjoint pair pruned by the gate");
-
-        // The gated sweep agrees with the exact sweep on every outcome.
-        let exact_meter = Meter::new();
-        let exact = verify_pairs(
-            &lake,
-            &pairs,
-            &schemas,
-            &PipelineConfig::default(),
-            &HashJoinCache::new(),
-            &exact_meter,
-        )
-        .unwrap();
-        let passes = |o: &[VerifyOutcome]| o.iter().map(|x| x.pass).collect::<Vec<_>>();
-        assert_eq!(passes(&outcomes), passes(&exact));
-        assert_eq!(exact_meter.snapshot().approx_probes, 0);
     }
 
     #[test]

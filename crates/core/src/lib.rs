@@ -73,12 +73,12 @@ pub mod session;
 pub mod sgb;
 pub mod view;
 
-pub use config::{ApproxConfig, ClpSampling, PipelineConfig};
+pub use config::{ClpSampling, PipelineConfig};
 pub use ingest::{FileIngest, IngestOptions, IngestReport};
 pub use persist::{Failpoints, PersistenceConfig, SessionSnapshot};
-pub use pipeline::{ApproxEdgeReport, PipelineReport, R2d2Pipeline, Stage, StageReport};
+pub use pipeline::{PipelineReport, R2d2Pipeline, Stage, StageReport};
 pub use r2d2_lake::{AppliedUpdate, LakeUpdate};
 pub use r2d2_opt::advisor::{AdvisorConfig, AdvisorReport};
 pub use session::{GroupCommit, GroupOutcome, R2d2Session, SessionReport, UpdateReport};
-pub use sgb::{ApproxCandidates, CandidateSource, ExactCandidates, SchemaCluster, SgbResult};
+pub use sgb::{SchemaCluster, SgbResult};
 pub use view::SessionView;

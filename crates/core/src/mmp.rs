@@ -21,14 +21,9 @@
 use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{DataLake, DatasetId, LakeError, Meter, Result};
 
-/// Which metadata checks an MMP run applies. Named fields instead of two
-/// adjacent positional bools, so call sites cannot silently transpose the
-/// flags.
+/// Which metadata checks an MMP run applies on top of the min/max check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MmpOptions {
-    /// Restrict the min/max check to columns whose declared type supports
-    /// min/max statistics (numbers, timestamps, strings).
-    pub typed_columns_only: bool,
     /// Apply the distinct-count gate (see the module docs).
     pub distinct_gate: bool,
 }
@@ -37,7 +32,6 @@ impl MmpOptions {
     /// The options a [`crate::config::PipelineConfig`] asks for.
     pub fn from_config(config: &crate::config::PipelineConfig) -> Self {
         MmpOptions {
-            typed_columns_only: config.mmp_typed_columns_only,
             distinct_gate: config.mmp_distinct_gate,
         }
     }
@@ -87,9 +81,7 @@ fn check_edge(
     let mut prune = false;
     let mut distinct_prune = false;
     for col in &common {
-        let range_eligible =
-            !options.typed_columns_only || child_schema.data_type(col)?.supports_min_max();
-        if range_eligible {
+        if child_schema.data_type(col)?.supports_min_max() {
             columns_checked += 1;
             let (cmin, cmax) = child.data.column_min_max(col, meter)?;
             let (pmin, pmax) = parent.data.column_min_max(col, meter)?;
@@ -158,11 +150,11 @@ pub fn min_max_prune(
 /// Run Min-Max Pruning over `graph` on up to `threads` workers (`0` = all
 /// hardware threads), mutating the graph in place.
 ///
-/// `options.typed_columns_only` restricts the min/max check to columns
-/// whose declared type supports min/max semantics (numbers, timestamps,
-/// strings), matching the paper's focus on numerical columns while still
-/// exploiting what parquet metadata provides for byte arrays;
-/// `options.distinct_gate` adds the distinct-count gate.
+/// The min/max check covers the columns whose declared type supports
+/// min/max semantics (numbers, timestamps, strings), matching the paper's
+/// focus on numerical columns while still exploiting what parquet metadata
+/// provides for byte arrays; `options.distinct_gate` adds the distinct-count
+/// gate.
 ///
 /// Each edge's check only reads the (immutable) lake and the shared atomic
 /// meter, so edges fan out freely; prune decisions are applied to the graph
@@ -202,11 +194,9 @@ mod tests {
     use r2d2_lake::{AccessProfile, Column, DataLake, DataType, PartitionedTable, Schema, Table};
 
     const GATED: MmpOptions = MmpOptions {
-        typed_columns_only: true,
         distinct_gate: true,
     };
     const UNGATED: MmpOptions = MmpOptions {
-        typed_columns_only: true,
         distinct_gate: false,
     };
 

@@ -59,7 +59,7 @@
 //! [`AdvisorState`]: r2d2_opt::advisor::AdvisorState
 
 use crate::config::{ClpSampling, PipelineConfig};
-use crate::pipeline::{ApproxEdgeReport, PipelineReport, Stage, StageReport};
+use crate::pipeline::{PipelineReport, Stage, StageReport};
 use crate::session::UpdateReport;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use r2d2_graph::diff::EdgeDelta;
@@ -75,15 +75,18 @@ use std::time::Duration;
 /// Leading/trailing magic of a snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"R2D2SNAP";
 
-/// Current snapshot format version. Version 5 introduces **delta
+/// Current snapshot format version. Version 5 introduced **delta
 /// generations**: a one-byte kind tag follows the version, and delta files
 /// carry a chain header naming the base generation they patch
 /// (`base_seq u64 | base_checksum u64`); the body of a full snapshot also
 /// gained the `rebase_every_k_deltas` / `wal_segment_max_bytes` policy
-/// fields. Version-1/2/3/4 snapshots fail with an explicit "unsupported
-/// snapshot version" error (a v4 reader likewise rejects v5 files by the
-/// same check).
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// fields. Version 6 keeps that framing and shrinks the body: the pipeline
+/// config is seven fields (no typed-columns flag, reserved byte or approx
+/// block), the bootstrap report has no approx-edge section, `OpCounts` is
+/// 15 words and embedded tables are `R2D2LAKE` v6. Version-1…5 snapshots
+/// fail with an explicit "unsupported snapshot version" error (an older
+/// reader likewise rejects v6 files by the same check).
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Snapshot kind tag: a self-contained full snapshot.
 const KIND_FULL: u8 = 0;
@@ -556,25 +559,8 @@ fn put_pipeline_config(buf: &mut BytesMut, c: &PipelineConfig) {
         ClpSampling::BothSides => 2,
     });
     buf.put_u64_le(c.seed);
-    wire::put_bool(buf, c.mmp_typed_columns_only);
     wire::put_bool(buf, c.mmp_distinct_gate);
-    // Reserved: R2D2SNAP v5 stored an on/off flag for the CLP bloom gate
-    // here. The gate is unconditional now; the byte stays so the layout is
-    // unchanged, written as `1` and ignored on read.
-    buf.put_u8(1);
     wire::put_usize(buf, c.threads);
-    match &c.approx {
-        None => buf.put_u8(0),
-        Some(a) => {
-            buf.put_u8(1);
-            wire::put_usize(buf, a.signature_k);
-            wire::put_usize(buf, a.lsh_bands);
-            wire::put_usize(buf, a.lsh_rows);
-            buf.put_f64_le(a.threshold);
-            wire::put_usize(buf, a.report_samples);
-            buf.put_f64_le(a.report_confidence);
-        }
-    }
 }
 
 fn get_pipeline_config(buf: &mut Bytes) -> Result<PipelineConfig> {
@@ -592,36 +578,16 @@ fn get_pipeline_config(buf: &mut Bytes) -> Result<PipelineConfig> {
         }
     };
     let seed = wire::get_u64(buf)?;
-    let mmp_typed_columns_only = wire::get_bool(buf)?;
     let mmp_distinct_gate = wire::get_bool(buf)?;
-    wire::get_bool(buf)?; // reserved (see `put_pipeline_config`)
     let threads = wire::get_usize(buf)?;
-    let approx = match wire::get_tag(buf, "approx config tag")? {
-        0 => None,
-        1 => Some(crate::config::ApproxConfig {
-            signature_k: wire::get_usize(buf)?,
-            lsh_bands: wire::get_usize(buf)?,
-            lsh_rows: wire::get_usize(buf)?,
-            threshold: wire::get_f64(buf)?,
-            report_samples: wire::get_usize(buf)?,
-            report_confidence: wire::get_f64(buf)?,
-        }),
-        other => {
-            return Err(LakeError::Corrupt(format!(
-                "unknown approx config tag {other}"
-            )))
-        }
-    };
     Ok(PipelineConfig {
         clp_columns,
         clp_rows,
         clp_rounds,
         clp_sampling,
         seed,
-        mmp_typed_columns_only,
         mmp_distinct_gate,
         threads,
-        approx,
     })
 }
 
@@ -656,16 +622,6 @@ fn put_pipeline_report(buf: &mut BytesMut, report: &PipelineReport) {
     }
     wire::put_usize(buf, report.sgb_clusters);
     put_duration(buf, &report.total_duration);
-    buf.put_u32_le(report.approx_edges.len() as u32);
-    for edge in &report.approx_edges {
-        buf.put_u64_le(edge.parent);
-        buf.put_u64_le(edge.child);
-        buf.put_f64_le(edge.estimate.estimate);
-        buf.put_f64_le(edge.estimate.lower);
-        buf.put_f64_le(edge.estimate.upper);
-        wire::put_usize(buf, edge.estimate.samples);
-        buf.put_f64_le(edge.estimate.confidence);
-    }
 }
 
 fn get_pipeline_report(buf: &mut Bytes) -> Result<PipelineReport> {
@@ -691,26 +647,6 @@ fn get_pipeline_report(buf: &mut Bytes) -> Result<PipelineReport> {
     }
     let sgb_clusters = wire::get_usize(buf)?;
     let total_duration = get_duration(buf)?;
-    wire::expect_len(buf, 4, "approx edge count")?;
-    let approx_count = buf.get_u32_le() as usize;
-    let mut approx_edges = Vec::with_capacity(approx_count.min(4096));
-    for _ in 0..approx_count {
-        wire::expect_len(buf, 16, "approx edge endpoints")?;
-        let parent = buf.get_u64_le();
-        let child = buf.get_u64_le();
-        let estimate = crate::approx::ContainmentEstimate {
-            estimate: wire::get_f64(buf)?,
-            lower: wire::get_f64(buf)?,
-            upper: wire::get_f64(buf)?,
-            samples: wire::get_usize(buf)?,
-            confidence: wire::get_f64(buf)?,
-        };
-        approx_edges.push(ApproxEdgeReport {
-            parent,
-            child,
-            estimate,
-        });
-    }
     Ok(PipelineReport {
         after_sgb,
         after_mmp,
@@ -718,7 +654,6 @@ fn get_pipeline_report(buf: &mut Bytes) -> Result<PipelineReport> {
         stages,
         sgb_clusters,
         total_duration,
-        approx_edges,
     })
 }
 
@@ -787,7 +722,7 @@ fn get_update_report(buf: &mut Bytes) -> Result<UpdateReport> {
     })
 }
 
-/// Wrap an encoded body in the v5 file framing:
+/// Wrap an encoded body in the snapshot file framing:
 /// `magic | version | kind [| base_seq | base_checksum] | body |
 /// checksum(body) | magic`.
 pub(crate) fn frame_snapshot(kind: SnapshotKind, body: Bytes) -> Bytes {
@@ -1264,26 +1199,6 @@ mod tests {
         }
         let mut bad = Bytes::from(vec![7u8]);
         assert!(WalRecord::decode(&mut bad).is_err());
-    }
-
-    #[test]
-    fn reserved_config_byte_is_written_as_one_and_ignored_on_read() {
-        // R2D2SNAP v5 files written while the CLP bloom gate was optional
-        // may carry a 0 in the (now reserved) flag byte; they must still
-        // restore, to the same configuration.
-        let config = PipelineConfig::default().with_seed(9);
-        let session = crate::session::R2d2Session::bootstrap(DataLake::new(), config).unwrap();
-        let image = Bytes::from(session.snapshot().as_bytes().to_vec());
-        let mut body = read_snapshot_file(&image).unwrap().body.to_vec();
-        // clp_columns, clp_rows, clp_rounds (u64 each), sampling tag, seed,
-        // mmp_typed_columns_only, mmp_distinct_gate — then the reserved byte.
-        let reserved = 3 * 8 + 1 + 8 + 1 + 1;
-        assert_eq!(body[reserved], 1);
-        body[reserved] = 0;
-        let old = SessionSnapshot::from_bytes(frame_snapshot(SnapshotKind::Full, body.into()));
-        let restored = old.restore().unwrap();
-        assert_eq!(restored.config(), session.config());
-        assert_eq!(restored.snapshot(), session.snapshot(), "re-encodes as 1");
     }
 
     fn write_marker(dir: &Path, seq: u64, kind: SnapshotKind) -> u64 {

@@ -5,14 +5,12 @@
 //! resulting [`PipelineReport`] is the raw material behind the paper's
 //! Tables 1–3 and 5–6 and Figure 4.
 
-use crate::approx::ContainmentEstimate;
 use crate::clp::content_level_prune;
 use crate::config::PipelineConfig;
 use crate::mmp::{min_max_prune_threaded, MmpOptions};
-use crate::sgb::SgbResult;
-use crate::sgb::{build_schema_graph_threaded, build_schema_graph_with_source, ApproxCandidates};
+use crate::sgb::{build_schema_graph_threaded, SgbResult};
 use r2d2_graph::ContainmentGraph;
-use r2d2_lake::{DataLake, DatasetId, Meter, OpCounts, Result, SchemaSet};
+use r2d2_lake::{DataLake, Meter, OpCounts, Result, SchemaSet};
 use std::time::{Duration, Instant};
 
 /// The three pipeline stages, in execution order.
@@ -59,24 +57,6 @@ pub struct StageReport {
     pub edges_after: usize,
 }
 
-/// Per-edge annotation produced by the §7.2.2 sampled containment estimator
-/// when the approximate tier is enabled: for a surviving edge
-/// `parent → child`, the estimated containment of the child in the parent
-/// together with its Hoeffding confidence interval.
-///
-/// Since every edge in the final graph passed the exact CLP check, a healthy
-/// report has [`ContainmentEstimate::could_be_exact`] true for every entry —
-/// the estimate is a cheap cross-check, not a second verdict.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApproxEdgeReport {
-    /// Parent (containing) dataset id.
-    pub parent: u64,
-    /// Child (contained) dataset id.
-    pub child: u64,
-    /// Sampled containment estimate with its Hoeffding bound.
-    pub estimate: ContainmentEstimate,
-}
-
 /// Full pipeline output: the final containment graph plus per-stage reports
 /// and intermediate graphs (so experiments can evaluate each stage against
 /// ground truth, as Tables 1 and 2 do).
@@ -94,10 +74,6 @@ pub struct PipelineReport {
     pub sgb_clusters: usize,
     /// Total wall-clock duration.
     pub total_duration: Duration,
-    /// §7.2.2 sampled containment estimates for the final graph's edges, in
-    /// `(parent, child)` order. Empty unless the approximate tier is on with
-    /// [`crate::config::ApproxConfig::report_samples`] `> 0`.
-    pub approx_edges: Vec<ApproxEdgeReport>,
 }
 
 impl PipelineReport {
@@ -142,54 +118,9 @@ impl R2d2Pipeline {
     }
 
     /// Run only the SGB stage (on `config.threads` workers).
-    ///
-    /// With [`PipelineConfig::approx`] set, candidate pairs are first gated
-    /// through per-table MinHash signatures ([`ApproxCandidates`]); otherwise
-    /// the exact inverted-index path runs unchanged.
     pub fn run_sgb(&self, lake: &DataLake, meter: &Meter) -> SgbResult {
         let schemas = Self::schema_sets(lake);
-        match &self.config.approx {
-            Some(approx) => {
-                let source = ApproxCandidates::build(lake, approx, meter);
-                build_schema_graph_with_source(&schemas, self.config.threads, meter, &source)
-            }
-            None => build_schema_graph_threaded(&schemas, self.config.threads, meter),
-        }
-    }
-
-    /// Compute the §7.2.2 per-edge containment estimates for the final
-    /// graph, in sorted `(parent, child)` order. Each edge draws from its
-    /// own RNG stream (seeded from `config.seed` and the edge's endpoints,
-    /// like CLP's per-edge streams but salted differently), so the report is
-    /// bit-identical at any thread count.
-    fn approx_edge_reports(
-        &self,
-        lake: &DataLake,
-        graph: &ContainmentGraph,
-        samples: usize,
-        confidence: f64,
-        meter: &Meter,
-    ) -> Result<Vec<ApproxEdgeReport>> {
-        let mut edges = graph.edges();
-        edges.sort_unstable();
-        crate::fanout::try_parallel_map(self.config.threads, &edges, |&(parent, child)| {
-            let parent_table = lake.dataset(DatasetId(parent))?.data.clone();
-            let child_table = lake.dataset(DatasetId(child))?.data.clone();
-            let seed = report_seed(self.config.seed, parent, child);
-            let estimate = crate::approx::estimate_containment(
-                &child_table,
-                &parent_table,
-                samples,
-                confidence,
-                seed,
-                meter,
-            )?;
-            Ok(ApproxEdgeReport {
-                parent,
-                child,
-                estimate,
-            })
-        })
+        build_schema_graph_threaded(&schemas, self.config.threads, meter)
     }
 
     /// Run the full SGB → MMP → CLP pipeline over the lake.
@@ -241,18 +172,6 @@ impl R2d2Pipeline {
             edges_after: graph.edge_count(),
         });
 
-        // Optional §7.2.2 estimate report over the surviving edges.
-        let approx_edges = match &self.config.approx {
-            Some(approx) if approx.report_samples > 0 => self.approx_edge_reports(
-                lake,
-                &graph,
-                approx.report_samples,
-                approx.report_confidence,
-                &meter,
-            )?,
-            _ => Vec::new(),
-        };
-
         Ok(PipelineReport {
             after_sgb,
             after_mmp,
@@ -260,21 +179,8 @@ impl R2d2Pipeline {
             stages,
             sgb_clusters,
             total_duration: start_all.elapsed(),
-            approx_edges,
         })
     }
-}
-
-/// Mix an edge's endpoints into the pipeline seed for the §7.2.2 estimate
-/// report (SplitMix64 finaliser, salted differently from CLP's
-/// `edge_seed` so the two streams never alias).
-fn report_seed(seed: u64, parent_id: u64, child_id: u64) -> u64 {
-    let mut z = (seed ^ 0xA992_0E57)
-        .wrapping_add(parent_id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(child_id.wrapping_mul(0xD1B5_4A32_D192_ED03));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -417,102 +323,6 @@ mod tests {
         assert_eq!(Stage::Mmp.to_string(), "MMP");
         assert_eq!(Stage::Clp.to_string(), "CLP");
         assert_eq!(Stage::ALL.len(), 3);
-    }
-
-    #[test]
-    fn approx_tier_reproduces_the_exact_graph_and_reports_estimates() {
-        use crate::config::ApproxConfig;
-
-        let (lake, base, subset, projected, _) = small_lake();
-        let exact = R2d2Pipeline::with_defaults().run(&lake).unwrap();
-        assert!(
-            exact.approx_edges.is_empty(),
-            "no estimate report with the tier off"
-        );
-
-        let approx_cfg = PipelineConfig::default().with_approx(ApproxConfig::default());
-        let approx = R2d2Pipeline::new(approx_cfg).run(&lake).unwrap();
-
-        // The domination gate only prunes provably-false pairs, so the
-        // final graph is identical to the exact run. Intermediate graphs may
-        // be strictly smaller: content-disjoint pairs that exact SGB admits
-        // on schema alone (and MMP/CLP later remove) are pruned up front.
-        assert_eq!(approx.after_clp, exact.after_clp);
-        let exact_sgb = {
-            let mut e = exact.after_sgb.edges();
-            e.sort_unstable();
-            e
-        };
-        for edge in approx.after_sgb.edges() {
-            assert!(
-                exact_sgb.binary_search(&edge).is_ok(),
-                "approx SGB admitted an edge the exact path did not: {edge:?}"
-            );
-        }
-        assert!(approx.after_sgb.edge_count() <= exact.after_sgb.edge_count());
-        for g in [&approx.after_sgb, &approx.after_mmp, &approx.after_clp] {
-            assert!(g.has_edge(base, subset), "true edge must never be pruned");
-            assert!(
-                g.has_edge(base, projected),
-                "true edge must never be pruned"
-            );
-        }
-
-        // The §7.2.2 report covers exactly the final edges, sorted, and
-        // every surviving (true) edge is consistent with exact containment.
-        let mut expected = approx.after_clp.edges();
-        expected.sort_unstable();
-        let reported: Vec<(u64, u64)> = approx
-            .approx_edges
-            .iter()
-            .map(|e| (e.parent, e.child))
-            .collect();
-        assert_eq!(reported, expected);
-        assert!(reported.contains(&(base, subset)));
-        assert!(reported.contains(&(base, projected)));
-        for edge in &approx.approx_edges {
-            assert!(
-                edge.estimate.could_be_exact(),
-                "true edge {}→{} estimated at {} with upper {}",
-                edge.parent,
-                edge.child,
-                edge.estimate.estimate,
-                edge.estimate.upper
-            );
-        }
-
-        // The tier actually ran: signature probes were metered.
-        let sgb_ops = &approx.stage(Stage::Sgb).unwrap().ops;
-        assert!(sgb_ops.approx_probes > 0);
-    }
-
-    #[test]
-    fn approx_report_is_deterministic_across_thread_counts() {
-        use crate::config::ApproxConfig;
-
-        let (lake, ..) = small_lake();
-        let run = |threads: usize| {
-            let cfg = PipelineConfig::default()
-                .with_threads(threads)
-                .with_approx(ApproxConfig::default());
-            R2d2Pipeline::new(cfg).run(&lake).unwrap()
-        };
-        let one = run(1);
-        let four = run(4);
-        assert_eq!(one.approx_edges, four.approx_edges);
-        assert_eq!(one.after_clp, four.after_clp);
-    }
-
-    #[test]
-    fn approx_report_can_be_disabled_independently() {
-        use crate::config::ApproxConfig;
-
-        let (lake, ..) = small_lake();
-        let cfg =
-            PipelineConfig::default().with_approx(ApproxConfig::default().with_report(0, 0.95));
-        let report = R2d2Pipeline::new(cfg).run(&lake).unwrap();
-        assert!(report.approx_edges.is_empty());
-        assert!(report.after_clp.edge_count() > 0);
     }
 
     #[test]

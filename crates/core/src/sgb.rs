@@ -26,28 +26,10 @@
 //! any true parent shares the child's rarest column, so it is always on the
 //! probed posting list — the proptest oracle below keeps pinning SGB
 //! against the brute-force graph.
-//!
-//! ## The candidate-source seam
-//!
-//! Step 6's candidate verification is additionally **pluggable**: every
-//! `(parent, child)` candidate pair passes through a [`CandidateSource`]
-//! before the exact subset check. [`ExactCandidates`] admits everything —
-//! byte-for-byte the behaviour described above. [`ApproxCandidates`] gates
-//! pairs through per-table MinHash signatures (built as column statistics,
-//! persisted in the `R2D2LAKE` v5 footer): a pair is admitted when its LSH
-//! band hashes collide or its domination-based containment estimate clears
-//! the configured threshold. Because a true containment pair estimates
-//! exactly `1.0` (see [`r2d2_lake::MinHashSignature::containment_estimate_in`]),
-//! the approximate tier only ever discards pairs whose signatures *prove*
-//! non-containment — the final graph is unchanged; only the verification
-//! work shrinks.
 
-use crate::config::ApproxConfig;
 use crate::fanout::parallel_map;
 use r2d2_graph::ContainmentGraph;
-use r2d2_lake::{
-    DataLake, InternedSchemaSet, Meter, MinHashSignature, SchemaInterner, SchemaSet, SIGNATURE_K,
-};
+use r2d2_lake::{InternedSchemaSet, Meter, SchemaInterner, SchemaSet};
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -112,112 +94,6 @@ impl ContainmentSet for InternedSchemaSet {
     }
 }
 
-/// A pluggable gate over SGB's step-6 candidate pairs: every candidate
-/// `(parent, child)` pair is offered to the source before the exact
-/// schema-subset check, and only admitted pairs are verified.
-///
-/// Implementations must be deterministic (same inputs → same decisions at
-/// any thread count) and **sound for recall**: a source may only reject
-/// pairs it can prove are not containment pairs, or the stage loses
-/// Theorem 4.1's no-missing-edges guarantee.
-pub trait CandidateSource: Sync {
-    /// Whether the candidate pair `parent → child` (dataset ids) should go
-    /// on to exact verification.
-    fn admit(&self, parent: u64, child: u64) -> bool;
-}
-
-/// The exact candidate source: admits every pair. With this source the
-/// stage is byte-for-byte the pre-seam inverted-index implementation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactCandidates;
-
-impl CandidateSource for ExactCandidates {
-    fn admit(&self, _parent: u64, _child: u64) -> bool {
-        true
-    }
-}
-
-/// The approximate candidate source: per-table MinHash signatures (the
-/// union fold of the per-column signatures kept as table statistics) gate
-/// candidate pairs before exact verification.
-///
-/// A pair is admitted when (a) the two tables' LSH band hashes collide in
-/// at least one band (near-duplicate fast path), or (b) the child
-/// signature's domination-based containment estimate in the parent reaches
-/// the configured threshold. Every probed pair charges `approx_probes` on
-/// the meter; every rejection charges `approx_prunes`. Pairs whose datasets
-/// are unknown to the source (not in the lake it was built from) are
-/// admitted — no evidence, no prune.
-///
-/// Decisions are a pure function of the lake's persisted signatures and the
-/// [`ApproxConfig`], so a restored session reproduces them bit-for-bit
-/// without re-hashing a value.
-pub struct ApproxCandidates {
-    signatures: HashMap<u64, MinHashSignature>,
-    band_hashes: HashMap<u64, Vec<u64>>,
-    threshold: f64,
-    meter: Meter,
-}
-
-impl ApproxCandidates {
-    /// Build the source from the lake's table signatures. The signature
-    /// size clamps to the persisted [`SIGNATURE_K`]; the banding scheme
-    /// clamps so `bands · rows ≤ k` (at least one band of one row).
-    pub fn build(lake: &DataLake, config: &ApproxConfig, meter: &Meter) -> Self {
-        let k = config.signature_k.clamp(1, SIGNATURE_K);
-        let rows = config.lsh_rows.clamp(1, k);
-        let bands = config.lsh_bands.clamp(1, k / rows);
-        let mut signatures = HashMap::new();
-        let mut band_hashes = HashMap::new();
-        for entry in lake.iter() {
-            let signature = entry.data.table_signature().prefix(k);
-            band_hashes.insert(entry.id.0, signature.band_hashes(bands, rows));
-            signatures.insert(entry.id.0, signature);
-        }
-        ApproxCandidates {
-            signatures,
-            band_hashes,
-            threshold: config.threshold,
-            meter: meter.clone(),
-        }
-    }
-
-    /// Number of datasets the source holds signatures for.
-    pub fn len(&self) -> usize {
-        self.signatures.len()
-    }
-
-    /// Whether the source holds no signatures.
-    pub fn is_empty(&self) -> bool {
-        self.signatures.is_empty()
-    }
-
-    /// The signature the source gates `dataset` with (`None` for unknown
-    /// ids). Exposed so restore oracles can compare gating metadata.
-    pub fn signature(&self, dataset: u64) -> Option<&MinHashSignature> {
-        self.signatures.get(&dataset)
-    }
-}
-
-impl CandidateSource for ApproxCandidates {
-    fn admit(&self, parent: u64, child: u64) -> bool {
-        let (Some(ps), Some(cs)) = (self.signatures.get(&parent), self.signatures.get(&child))
-        else {
-            return true;
-        };
-        self.meter.add_approx_probes(1);
-        let collide = match (self.band_hashes.get(&parent), self.band_hashes.get(&child)) {
-            (Some(pb), Some(cb)) => pb.iter().zip(cb).any(|(a, b)| a == b),
-            _ => false,
-        };
-        if collide || cs.containment_estimate_in(ps) >= self.threshold {
-            return true;
-        }
-        self.meter.add_approx_prunes(1);
-        false
-    }
-}
-
 /// The shortest posting list among `elems`' postings — the best (rarest)
 /// candidate prefix for a subset probe. Ties are broken by comparing the
 /// lists themselves (they hold dataset *indices*, so the choice — and hence
@@ -245,14 +121,8 @@ fn rarest_postings<'a, E: Hash + Eq>(
 /// verification, the dominant cost) fans out over children on up to
 /// `threads` workers; per-child edge lists are merged back in child order,
 /// so the resulting graph and comparison count are identical for every
-/// thread count. Candidate pairs pass through `source` before the exact
-/// subset check; the center sweep (steps 3–5) stays exact regardless.
-fn sgb_core<S: ContainmentSet, C: CandidateSource>(
-    ids: &[u64],
-    sets: &[S],
-    threads: usize,
-    source: &C,
-) -> SgbResult {
+/// thread count.
+fn sgb_core<S: ContainmentSet>(ids: &[u64], sets: &[S], threads: usize) -> SgbResult {
     // Step 2: sort by non-increasing schema-set cardinality. Ties are broken
     // by dataset id for determinism.
     let mut order: Vec<usize> = (0..ids.len()).collect();
@@ -355,9 +225,6 @@ fn sgb_core<S: ContainmentSet, C: CandidateSource>(
                 if cj == si || ids[cj] == ids[si] {
                     continue;
                 }
-                if !source.admit(ids[cj], ids[si]) {
-                    continue;
-                }
                 local_comparisons += 1;
                 if sets[si].subset_of(&sets[cj]) {
                     edges.push((ids[cj], ids[si]));
@@ -409,28 +276,13 @@ pub fn build_schema_graph_threaded(
     threads: usize,
     meter: &Meter,
 ) -> SgbResult {
-    build_schema_graph_with_source(schemas, threads, meter, &ExactCandidates)
-}
-
-/// [`build_schema_graph_threaded`] with a pluggable [`CandidateSource`]
-/// gating step 6's candidate pairs. With [`ExactCandidates`] this is the
-/// exact stage; with [`ApproxCandidates`] the pairs are MinHash-gated
-/// before exact verification (`schema_comparisons` then counts only
-/// admitted pairs; the gate's own work shows up as `approx_probes` /
-/// `approx_prunes` on the source's meter).
-pub fn build_schema_graph_with_source<C: CandidateSource>(
-    schemas: &[(u64, SchemaSet)],
-    threads: usize,
-    meter: &Meter,
-    source: &C,
-) -> SgbResult {
     let mut interner = SchemaInterner::new();
     let ids: Vec<u64> = schemas.iter().map(|(id, _)| *id).collect();
     let sets: Vec<InternedSchemaSet> = schemas
         .iter()
         .map(|(_, s)| interner.intern_set(s))
         .collect();
-    let result = sgb_core(&ids, &sets, threads, source);
+    let result = sgb_core(&ids, &sets, threads);
     meter.add_schema_comparisons(result.schema_comparisons);
     result
 }
@@ -487,7 +339,7 @@ mod tests {
     fn build_schema_graph_string(schemas: &[(u64, SchemaSet)], meter: &Meter) -> SgbResult {
         let ids: Vec<u64> = schemas.iter().map(|(id, _)| *id).collect();
         let sets: Vec<SchemaSet> = schemas.iter().map(|(_, s)| s.clone()).collect();
-        let result = sgb_core(&ids, &sets, 1, &ExactCandidates);
+        let result = sgb_core(&ids, &sets, 1);
         meter.add_schema_comparisons(result.schema_comparisons);
         result
     }
@@ -641,31 +493,6 @@ mod tests {
         assert_eq!(interned.clusters, threaded.clusters);
         assert_eq!(interned.schema_comparisons, string.schema_comparisons);
         assert_eq!(interned.schema_comparisons, threaded.schema_comparisons);
-    }
-
-    #[test]
-    fn candidate_source_gates_step6_only() {
-        /// Rejects every pair — the graph must lose all non-trivial edges
-        /// while clusters (built by the ungated center sweep) survive.
-        struct RejectAll;
-        impl CandidateSource for RejectAll {
-            fn admit(&self, _p: u64, _c: u64) -> bool {
-                false
-            }
-        }
-        let schemas = paper_example();
-        let exact = build_schema_graph_threaded(&schemas, 1, &Meter::new());
-        let via_seam = build_schema_graph_with_source(&schemas, 1, &Meter::new(), &ExactCandidates);
-        assert_eq!(exact.graph, via_seam.graph, "ExactCandidates is identity");
-        assert_eq!(exact.schema_comparisons, via_seam.schema_comparisons);
-
-        let gated = build_schema_graph_with_source(&schemas, 1, &Meter::new(), &RejectAll);
-        assert_eq!(gated.graph.edge_count(), 0, "every candidate was rejected");
-        assert_eq!(gated.clusters, exact.clusters, "center sweep is ungated");
-        assert!(
-            gated.schema_comparisons < exact.schema_comparisons,
-            "rejected pairs are not counted as comparisons"
-        );
     }
 
     #[test]

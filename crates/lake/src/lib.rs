@@ -57,7 +57,6 @@ pub mod partition;
 pub mod query;
 pub mod row;
 pub mod schema;
-pub mod signature;
 pub mod sketch;
 pub mod snapshot;
 pub mod stats;
@@ -78,7 +77,6 @@ pub use partition::{PartitionSpec, PartitionedTable};
 pub use query::{ContainmentCheck, HashJoinCache, Predicate};
 pub use row::{Row, RowHash, RowHashMap, RowHashMapHasher};
 pub use schema::{Field, InternedSchemaSet, Schema, SchemaInterner, SchemaNode, SchemaSet};
-pub use signature::{LshIndex, MinHashSignature, SIGNATURE_K};
 pub use sketch::ColumnSketch;
 pub use stats::ColumnStats;
 pub use table::Table;

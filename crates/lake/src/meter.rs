@@ -134,12 +134,6 @@ op_counters! {
     /// String cells covered by row hashing (what `string_hash_ops` would be
     /// without per-distinct-value dedup; the ratio is the savings).
     string_cells_hashed, add_string_cells_hashed = "Record `n` string cells covered by row hashing.";
-    /// Candidate pairs probed by the approximate (MinHash) candidate tier.
-    approx_probes, add_approx_probes = "Record `n` candidate pairs probed by the approximate candidate tier.";
-    /// Candidate pairs pruned by the approximate tier before exact
-    /// verification (`approx_probes - approx_prunes` pairs went on to the
-    /// exact subset check).
-    approx_prunes, add_approx_prunes = "Record `n` candidate pairs pruned by the approximate candidate tier.";
 }
 
 impl OpCounts {
@@ -247,11 +241,7 @@ mod tests {
         m.add_pages_decoded(3);
         m.add_string_hash_ops(4);
         m.add_string_cells_hashed(40);
-        m.add_approx_probes(6);
-        m.add_approx_prunes(2);
         let s = m.snapshot();
-        assert_eq!(s.approx_probes, 6);
-        assert_eq!(s.approx_prunes, 2);
         assert_eq!(s.pages_decoded, 3);
         assert_eq!(s.pages_skipped, 10);
         assert_eq!(s.string_hash_ops, 4);

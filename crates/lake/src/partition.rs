@@ -334,25 +334,6 @@ impl PartitionedTable {
         self.table_stats.get(column).map(|s| &s.sketch)
     }
 
-    /// The MinHash signature of the union of **all** columns' distinct
-    /// non-null values — the table-as-a-value-set view the approximate
-    /// candidate tier gates on. Columns fold in schema order (the fold is
-    /// commutative, so order only matters for documentation), and the
-    /// resulting cardinality is the sum of per-column distinct counts — an
-    /// upper bound on the union's true cardinality, which is the
-    /// conservative direction for containment estimation. Served purely from
-    /// metadata, like [`Self::table_stats`].
-    pub fn table_signature(&self) -> crate::signature::MinHashSignature {
-        let mut signature =
-            crate::signature::MinHashSignature::empty(crate::signature::SIGNATURE_K);
-        for name in self.schema.names() {
-            if let Some(stats) = self.table_stats.get(name) {
-                signature.merge_with(&stats.signature);
-            }
-        }
-        signature
-    }
-
     /// Concatenate all partitions back into a single [`Table`]. This is a
     /// full materialisation and is metered as a full scan.
     pub fn to_table(&self, meter: &Meter) -> Result<Table> {
@@ -548,27 +529,6 @@ mod tests {
                 "value {i} must be in the table sketch"
             );
         }
-    }
-
-    #[test]
-    fn table_signature_folds_all_columns_and_survives_partitioning() {
-        let whole = PartitionedTable::single(table(20));
-        let split = PartitionedTable::from_table(
-            table(20),
-            PartitionSpec::ByRowCount {
-                rows_per_partition: 6,
-            },
-        )
-        .unwrap();
-        let a = whole.table_signature();
-        let b = split.table_signature();
-        assert_eq!(a.mins(), b.mins(), "partitioning never changes the fold");
-        // Table-level stats are exact for from_table, so the cardinality is
-        // the sum of per-column exact distinct counts: 20 ids + 3 groups.
-        assert_eq!(a.cardinality, 23);
-        // A sub-table's signature never dominates: estimate exactly 1.0.
-        let sub = PartitionedTable::single(table(7));
-        assert_eq!(sub.table_signature().containment_estimate_in(&a), 1.0);
     }
 
     #[test]

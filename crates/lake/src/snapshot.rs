@@ -127,7 +127,7 @@ pub fn get_value(buf: &mut Bytes) -> Result<Value> {
 // Lake-owned composite codecs
 // ---------------------------------------------------------------------------
 
-/// Append an [`OpCounts`] snapshot (seventeen `u64` counters).
+/// Append an [`OpCounts`] snapshot (fifteen `u64` counters).
 ///
 /// The page counters (`pages_decoded` / `pages_skipped`) are **not**
 /// persisted — they are zeroed on the wire. They describe how lazy *this
@@ -1012,8 +1012,6 @@ mod tests {
             pages_skipped: 13,
             string_hash_ops: 14,
             string_cells_hashed: 15,
-            approx_probes: 16,
-            approx_prunes: 17,
         };
         let mut buf = BytesMut::new();
         for a in &applied {

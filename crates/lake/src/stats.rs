@@ -8,7 +8,6 @@
 //! metadata without touching rows — the meter in [`crate::meter`] verifies
 //! that pruning stages really only read metadata.
 
-use crate::signature::{MinHashSignature, SIGNATURE_K};
 use crate::sketch::ColumnSketch;
 use crate::value::Value;
 
@@ -29,12 +28,6 @@ pub struct ColumnStats {
     /// Bloom sketch over the hashes of the non-null values (no false
     /// negatives), built in the same pass that counts distinct values.
     pub sketch: ColumnSketch,
-    /// MinHash signature ([`SIGNATURE_K`] permutations) over the distinct
-    /// non-null value hashes, built in the same pass as the sketch. Folds
-    /// into partition- and table-level signatures via
-    /// [`MinHashSignature::merge_with`] — the metadata behind the optional
-    /// approximate candidate tier.
-    pub signature: MinHashSignature,
 }
 
 impl ColumnStats {
@@ -45,19 +38,16 @@ impl ColumnStats {
         let mut null_count = 0usize;
         let mut distinct = std::collections::HashSet::new();
         let mut sketch = ColumnSketch::new();
-        let mut signature = MinHashSignature::empty(SIGNATURE_K);
         for v in values {
             if v.is_null() {
                 null_count += 1;
                 continue;
             }
             let hash = crate::row::hash_values(&[v]);
-            // Sketch and signature only change on first sight of a value, so
-            // gating them on the exact distinct set skips the (idempotent)
-            // re-inserts and keeps the signature's cardinality exact.
+            // The sketch only changes on first sight of a value, so gating it
+            // on the exact distinct set skips the (idempotent) re-inserts.
             if distinct.insert(hash) {
                 sketch.insert(hash);
-                signature.insert_value_hash(hash);
             }
             min = Some(match min.take() {
                 None => v.clone(),
@@ -87,7 +77,6 @@ impl ColumnStats {
             row_count: values.len(),
             distinct_count: distinct.len(),
             sketch,
-            signature,
         }
     }
 
@@ -112,8 +101,6 @@ impl ColumnStats {
         };
         let mut sketch = self.sketch.clone();
         sketch.union_with(&other.sketch);
-        let mut signature = self.signature.clone();
-        signature.merge_with(&other.signature);
         ColumnStats {
             min: pick_min(&self.min, &other.min),
             max: pick_max(&self.max, &other.max),
@@ -126,7 +113,6 @@ impl ColumnStats {
             // the union.)
             distinct_count: self.distinct_count + other.distinct_count,
             sketch,
-            signature,
         }
     }
 
@@ -262,35 +248,6 @@ mod tests {
         let m = a.merge(&b);
         let full = ColumnStats::compute(&ints(&[1, 2, 3]));
         assert_eq!(m.sketch, full.sketch, "merged sketch == single-pass sketch");
-    }
-
-    #[test]
-    fn compute_builds_the_signature_over_distinct_values() {
-        let s = ColumnStats::compute(&ints(&[1, 2, 3, 2, 1]));
-        let direct = MinHashSignature::build(
-            [1i64, 2, 3]
-                .iter()
-                .map(|v| crate::row::hash_values(&[&Value::Int(*v)])),
-            SIGNATURE_K,
-        );
-        assert_eq!(s.signature, direct, "duplicates do not perturb it");
-        assert_eq!(s.signature.cardinality, 3);
-        let empty = ColumnStats::compute(&[Value::Null]);
-        assert!(empty.signature.is_empty(), "nulls are not inserted");
-    }
-
-    #[test]
-    fn merge_folds_signatures_into_the_union_signature() {
-        let a = ColumnStats::compute(&ints(&[1, 2]));
-        let b = ColumnStats::compute(&ints(&[3]));
-        let m = a.merge(&b);
-        let full = ColumnStats::compute(&ints(&[1, 2, 3]));
-        assert_eq!(
-            m.signature.mins(),
-            full.signature.mins(),
-            "merged minima == single-pass minima"
-        );
-        assert_eq!(m.signature.cardinality, 3);
     }
 
     #[test]

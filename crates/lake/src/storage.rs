@@ -13,18 +13,16 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic "R2D2LAKE" | version u32 (5)
+//! magic "R2D2LAKE" | version u32 (6)
 //! schema: field_count u32, then per field: name_len u32, name bytes, type u8
 //! row_group_count u32
 //! per row group: row_count u64, per column: page_len u32, page bytes
 //! footer: per row group, per column:
 //!     name_len u32, name bytes, min, max, null_count u64, distinct u64,
-//!     mem_bytes u64, bloom sketch (32 × u64),
-//!     minhash signature (64 × u64 minima, then cardinality u64)
+//!     mem_bytes u64, bloom sketch (32 × u64)
 //! footer: table-level section, per column in schema order:
 //!     min, max, null_count u64, exact distinct u64, mem_bytes u64,
-//!     bloom sketch (32 × u64),
-//!     minhash signature (64 × u64 minima, then cardinality u64)
+//!     bloom sketch (32 × u64)
 //! footer_offset u64 | magic "R2D2LAKE"
 //! ```
 //!
@@ -59,14 +57,12 @@
 //! field records each column's decoded in-memory size so
 //! [`crate::Table::byte_size`] needs no materialization. Version 4 also
 //! adds the dictionary string layout above. As with every bump, version
-//! gates are explicit: reading a v1–v3 file fails with an "unsupported
+//! gates are explicit: reading an older file fails with an "unsupported
 //! version" error instead of silently misreading pages.
 //!
-//! Version 5 adds the per-column MinHash signature
-//! ([`crate::signature::MinHashSignature`], [`SIGNATURE_K`] permutations) to
-//! every footer entry, so a restore reattaches the approximate candidate
-//! tier's gating metadata without re-hashing a value and reproduces its
-//! decisions bit-for-bit.
+//! Version 6 removes the 520-byte per-column MinHash signature that version
+//! 5 had added to every footer entry: it was metadata for an approximate
+//! candidate tier that no longer exists, and nothing else read it.
 //!
 //! Earlier versions: v2 added footer distinct counts, v3 added per-column
 //! bloom sketches and the table-level statistics section, v4 added lazy
@@ -78,7 +74,6 @@ use crate::error::{LakeError, Result};
 use crate::meter::Meter;
 use crate::partition::PartitionedTable;
 use crate::schema::{Field, Schema};
-use crate::signature::{MinHashSignature, SIGNATURE_K};
 use crate::sketch::ColumnSketch;
 use crate::stats::ColumnStats;
 use crate::table::Table;
@@ -89,7 +84,7 @@ use std::fs;
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"R2D2LAKE";
-const VERSION: u32 = 5;
+const VERSION: u32 = 6;
 
 /// Value encoding tags inside data pages.
 const VAL_NULL: u8 = 0;
@@ -542,9 +537,6 @@ pub struct ColumnFooterStats {
     pub mem_bytes: u64,
     /// Bloom sketch over the value hashes.
     pub sketch: ColumnSketch,
-    /// MinHash signature over the distinct value hashes ([`SIGNATURE_K`]
-    /// permutations), the approximate candidate tier's gating metadata.
-    pub signature: MinHashSignature,
 }
 
 impl ColumnFooterStats {
@@ -556,7 +548,6 @@ impl ColumnFooterStats {
             distinct_count: stats.distinct_count as u64,
             mem_bytes,
             sketch: stats.sketch.clone(),
-            signature: stats.signature.clone(),
         }
     }
 
@@ -568,7 +559,6 @@ impl ColumnFooterStats {
             row_count,
             distinct_count: self.distinct_count as usize,
             sketch: self.sketch,
-            signature: self.signature,
         }
     }
 }
@@ -605,21 +595,12 @@ fn put_footer_stats(buf: &mut BytesMut, stats: &ColumnFooterStats) {
     for &w in stats.sketch.words() {
         buf.put_u64_le(w);
     }
-    debug_assert_eq!(
-        stats.signature.len(),
-        SIGNATURE_K,
-        "footer signatures are fixed-size"
-    );
-    for &m in stats.signature.mins() {
-        buf.put_u64_le(m);
-    }
-    buf.put_u64_le(stats.signature.cardinality as u64);
 }
 
 fn get_footer_stats(buf: &mut Bytes) -> Result<ColumnFooterStats> {
     let min = get_opt_value(buf)?;
     let max = get_opt_value(buf)?;
-    if buf.remaining() < 24 + ColumnSketch::WORD_COUNT * 8 + (SIGNATURE_K + 1) * 8 {
+    if buf.remaining() < 24 + ColumnSketch::WORD_COUNT * 8 {
         return Err(LakeError::Corrupt("truncated footer stats".into()));
     }
     let null_count = buf.get_u64_le();
@@ -635,13 +616,6 @@ fn get_footer_stats(buf: &mut Bytes) -> Result<ColumnFooterStats> {
         *w = u64::from_le_bytes(raw.try_into().expect("8-byte word"));
     }
     buf.advance(ColumnSketch::WORD_COUNT * 8);
-    // Signature minima, bulk-read like the sketch words.
-    let mut mins = vec![0u64; SIGNATURE_K];
-    for (m, raw) in mins.iter_mut().zip(buf[..SIGNATURE_K * 8].chunks_exact(8)) {
-        *m = u64::from_le_bytes(raw.try_into().expect("8-byte min"));
-    }
-    buf.advance(SIGNATURE_K * 8);
-    let cardinality = buf.get_u64_le() as usize;
     Ok(ColumnFooterStats {
         min,
         max,
@@ -649,7 +623,6 @@ fn get_footer_stats(buf: &mut Bytes) -> Result<ColumnFooterStats> {
         distinct_count,
         mem_bytes,
         sketch: ColumnSketch::from_words(words),
-        signature: MinHashSignature::from_parts(mins, cardinality),
     })
 }
 
@@ -1296,7 +1269,7 @@ mod tests {
     fn older_versions_fail_with_explicit_error() {
         let pt = sample();
         let bytes = encode(&pt);
-        for old in [1u32, 2, 3, 4] {
+        for old in [1u32, 2, 3, 4, 5] {
             let mut v = bytes.to_vec();
             v[8..12].copy_from_slice(&old.to_le_bytes());
             let err = decode(&Bytes::from(v.clone()), &Meter::new()).unwrap_err();
@@ -1311,33 +1284,6 @@ mod tests {
             );
             assert!(read_footer(&Bytes::from(v), &Meter::new()).is_err());
         }
-    }
-
-    #[test]
-    fn footer_signatures_round_trip_exactly() {
-        let pt = sample();
-        let bytes = encode(&pt);
-        let back = decode(&bytes, &Meter::new()).unwrap();
-        // Table-level signatures (the approximate tier's gating metadata)
-        // reattach bit-identically, without decoding a page.
-        for name in pt.schema().names() {
-            assert_eq!(
-                back.table_stats()[name].signature,
-                pt.table_stats()[name].signature,
-                "column {name}"
-            );
-        }
-        assert_eq!(
-            back.table_signature().mins(),
-            pt.table_signature().mins(),
-            "the folded table signature is reproduced exactly"
-        );
-        // Footer-only reads see the same signatures.
-        let footer = read_footer(&bytes, &Meter::new()).unwrap();
-        assert_eq!(
-            footer.table_level()["id"].signature,
-            pt.table_stats()["id"].signature
-        );
     }
 
     #[test]

@@ -48,13 +48,14 @@ pub const WAL_MAGIC: &[u8; 8] = b"R2D2WAL\0";
 /// with the lazy-storage work (tables inside update records became
 /// `R2D2LAKE` v4, `OpCounts` grew page/string counters, and the 4-lane
 /// word-parallel checksum below replaced byte-wise FNV-1a); version 4
-/// followed the approximate-tier work (`R2D2LAKE` v5 tables, the
-/// `approx_probes`/`approx_prunes` counters); version 5 introduces
+/// embedded `R2D2LAKE` v5 tables and two more counters; version 5 introduced
 /// **segments** — the file header grew a `generation u64 | segment u32`
 /// pair naming the snapshot generation this segment extends and its index
-/// in that generation's segment sequence, so v4 files (and v4 readers) are
-/// rejected with an explicit error rather than misparsed.
-pub const WAL_VERSION: u32 = 5;
+/// in that generation's segment sequence; version 6 keeps that framing and
+/// follows the payloads (`R2D2LAKE` v6 tables without MinHash signatures,
+/// a 15-word `OpCounts`). Older files (and older readers) are rejected with
+/// an explicit error rather than misparsed.
+pub const WAL_VERSION: u32 = 6;
 
 /// Segment header size: magic + version + generation + segment index.
 pub const SEGMENT_HEADER: usize = 8 + 4 + 8 + 4;
@@ -428,11 +429,11 @@ mod tests {
         assert!(read_records(&path).is_err());
         assert!(WalWriter::open_append(&path, None).is_err());
 
-        // Every pre-segment version (and any future one) is rejected with an
+        // Every older version (and any future one) is rejected with an
         // explicit version error, never misparsed: a v4 file's first record
-        // bytes would otherwise be consumed as the v5 generation/segment
-        // header fields.
-        for version in [1u32, 2, 3, 4, 99] {
+        // bytes would otherwise be consumed as the generation/segment header
+        // fields, and a v5 record's tables and op counts as their v6 shapes.
+        for version in [1u32, 2, 3, 4, 5, 99] {
             let mut versioned = WAL_MAGIC.to_vec();
             versioned.extend_from_slice(&version.to_le_bytes());
             versioned.extend_from_slice(&[0u8; 12]);

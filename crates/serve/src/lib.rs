@@ -269,7 +269,6 @@ impl ReadHandle {
 pub struct R2d2Server {
     shared: Arc<Shared>,
     capacity: usize,
-    pipeline_config: r2d2_core::PipelineConfig,
     writer: Option<JoinHandle<R2d2Session>>,
 }
 
@@ -303,7 +302,6 @@ impl R2d2Server {
         });
         let writer_shared = Arc::clone(&shared);
         let capacity = config.queue_capacity;
-        let pipeline_config = session.config().clone();
         let writer = std::thread::Builder::new()
             .name("r2d2-serve-writer".into())
             .spawn(move || writer_loop(session, writer_shared, config))
@@ -311,23 +309,8 @@ impl R2d2Server {
         R2d2Server {
             shared,
             capacity,
-            pipeline_config,
             writer: Some(writer),
         }
-    }
-
-    /// The pipeline configuration of the session the writer runs —
-    /// immutable for the server's lifetime, so readers can inspect it (e.g.
-    /// whether the approximate candidate tier is gating incremental
-    /// verification) without touching the writer thread.
-    pub fn pipeline_config(&self) -> &r2d2_core::PipelineConfig {
-        &self.pipeline_config
-    }
-
-    /// The approximate-tier knobs the writer's session verifies with, if
-    /// the tier is enabled (`None` = exact verification only).
-    pub fn approx_config(&self) -> Option<&r2d2_core::ApproxConfig> {
-        self.pipeline_config.approx.as_ref()
     }
 
     /// A fresh read handle (clonable and clone-cheap; hand one to every
@@ -554,36 +537,6 @@ mod tests {
         let mut edges = graph.edges();
         edges.sort_unstable();
         edges
-    }
-
-    #[test]
-    fn server_surfaces_the_pipeline_and_approx_config() {
-        // Exact session: accessor reports the tier off.
-        let server =
-            R2d2Server::start(session_with(&[("a", table(0..40))]), ServeConfig::default());
-        assert_eq!(server.pipeline_config().seed, 3);
-        assert!(server.approx_config().is_none());
-        server.shutdown();
-
-        // Approximate session: the knobs round-trip through the server.
-        let mut lake = DataLake::new();
-        let part = PartitionedTable::from_table(
-            table(0..40),
-            PartitionSpec::ByRowCount {
-                rows_per_partition: 16,
-            },
-        )
-        .unwrap();
-        lake.add_dataset("a", part, AccessProfile::default(), None)
-            .unwrap();
-        let config = PipelineConfig::default()
-            .with_seed(3)
-            .with_approx(r2d2_core::ApproxConfig::default().with_threshold(0.75));
-        let session = R2d2Session::bootstrap(lake, config).unwrap();
-        let server = R2d2Server::start(session, ServeConfig::default());
-        let approx = server.approx_config().expect("tier is on");
-        assert_eq!(approx.threshold, 0.75);
-        server.shutdown();
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use r2d2_baselines::ground_truth::content_ground_truth;
 use r2d2_baselines::lcjoin::{columns_as_sets_graph, rows_as_sets_graph};
-use r2d2_baselines::minhash::{minhash_containment, LshIndex, MinHashSignature};
+use r2d2_baselines::minhash::{minhash_containment, MinHashSignature};
 use r2d2_bench::experiments::{enterprise_corpora, schema_baselines, Scale};
 use r2d2_core::R2d2Pipeline;
 use r2d2_graph::diff::diff;
@@ -113,13 +113,6 @@ fn hash_range(offset: u64, len: u64) -> Vec<RowHash> {
     (offset..offset + len).map(|v| RowHash(v as u128)).collect()
 }
 
-/// Exact Jaccard of two integer intervals of length `len` at the given
-/// offsets.
-fn interval_jaccard(a: u64, b: u64, len: u64) -> f64 {
-    let overlap = len.saturating_sub(a.abs_diff(b));
-    overlap as f64 / (2 * len - overlap) as f64
-}
-
 proptest::proptest! {
     /// Concentration of the MinHash estimators: each coordinate of the
     /// signature matches with probability exactly J, so the Jaccard
@@ -153,45 +146,6 @@ proptest::proptest! {
                 containment >= 1.0 - 2.0 * bound,
                 "true-subset containment {} below 1 - 2*{} at k={}", containment, bound, k
             );
-        }
-    }
-
-    /// The LSH index's analytic recall bound: a pair with Jaccard J
-    /// collides in at least one band with probability 1 − (1 − J^rows)^bands.
-    /// With 16 bands of 2 rows, any pair above J = 0.7 is missed with
-    /// probability at most (1 − 0.49)^16 ≈ 2·10⁻⁵ — far below one expected
-    /// miss across every case this test generates — so the index must never
-    /// drop an above-threshold pair.
-    #[test]
-    fn lsh_index_never_drops_pairs_above_the_scheme_threshold(
-        offsets in proptest::collection::vec(0u64..150, 4usize..12),
-    ) {
-        const LEN: u64 = 100;
-        const K: usize = 32;
-        let signatures: Vec<MinHashSignature> = offsets
-            .iter()
-            .map(|&o| MinHashSignature::build(hash_range(o, LEN), K))
-            .collect();
-        let mut index = LshIndex::new(16, 2);
-        for (i, sig) in signatures.iter().enumerate() {
-            index.insert(i as u64, sig);
-        }
-        for i in 0..offsets.len() {
-            let candidates = index.candidates(&signatures[i]);
-            proptest::prop_assert!(
-                candidates.binary_search(&(i as u64)).is_ok(),
-                "a set must be its own candidate"
-            );
-            for j in 0..offsets.len() {
-                if i == j || interval_jaccard(offsets[i], offsets[j], LEN) < 0.7 {
-                    continue;
-                }
-                proptest::prop_assert!(
-                    candidates.binary_search(&(j as u64)).is_ok(),
-                    "pair ({}, {}) with J = {} dropped by the index",
-                    i, j, interval_jaccard(offsets[i], offsets[j], LEN)
-                );
-            }
         }
     }
 }

@@ -12,8 +12,7 @@
 //! `threads` setting.
 
 use r2d2_core::{
-    ApproxCandidates, ApproxConfig, CandidateSource, Failpoints, PersistenceConfig, PipelineConfig,
-    R2d2Session, SessionSnapshot, UpdateReport,
+    Failpoints, PersistenceConfig, PipelineConfig, R2d2Session, SessionSnapshot, UpdateReport,
 };
 use r2d2_lake::{
     AccessProfile, Column, DataLake, DataType, DatasetId, LakeUpdate, Meter, OpCounts,
@@ -227,17 +226,12 @@ fn assert_sessions_identical(a: &mut R2d2Session, b: &mut R2d2Session, context: 
 }
 
 /// Bootstrap a session with an attached advisor over the base lake.
-fn advised_session_with(cfg: PipelineConfig) -> R2d2Session {
-    let mut session = R2d2Session::bootstrap(base_lake(), cfg).unwrap();
+fn advised_session(threads: usize) -> R2d2Session {
+    let mut session = R2d2Session::bootstrap(base_lake(), config(threads)).unwrap();
     session
         .enable_advisor(CostModel::default(), advisor_config())
         .unwrap();
     session
-}
-
-/// Bootstrap a session with an attached advisor over the base lake.
-fn advised_session(threads: usize) -> R2d2Session {
-    advised_session_with(config(threads))
 }
 
 proptest::proptest! {
@@ -253,25 +247,19 @@ proptest::proptest! {
         seed in 0u64..1_000_000,
         count in 1usize..5,
         kill in 0usize..5,
-        approx in 0u8..2,
         segment_budget in 0u8..3,
     ) {
         let updates = gen_updates(seed, count);
         let kill = kill % (updates.len() + 1);
         for threads in [1usize, 4] {
-            let dir = scratch_dir(&format!("oracle_{seed}_{count}_{kill}_{threads}_{approx}"));
-            let cfg = if approx == 1 {
-                config(threads).with_approx(ApproxConfig::default())
-            } else {
-                config(threads)
-            };
+            let dir = scratch_dir(&format!("oracle_{seed}_{count}_{kill}_{threads}"));
 
             // The durable session: advisor + persistence, killed after
             // `kill` updates (drop = crash; state survives only on disk).
             // The default rebase cadence makes generations 2+ delta chains;
             // a non-zero segment budget forces mid-generation WAL segment
             // rotations, so restores replay multi-segment logs too.
-            let mut durable = advised_session_with(cfg.clone());
+            let mut durable = advised_session(threads);
             durable
                 .enable_persistence(
                     PersistenceConfig::new(&dir)
@@ -285,7 +273,7 @@ proptest::proptest! {
             drop(durable);
 
             // The uninterrupted session: same stream, never persisted.
-            let mut uninterrupted = advised_session_with(cfg);
+            let mut uninterrupted = advised_session(threads);
             for update in &updates[..kill] {
                 uninterrupted.apply(update.clone()).unwrap();
             }
@@ -588,6 +576,15 @@ fn compaction_rotates_generations_and_prunes_old_files() {
     let full = std::fs::metadata(dir.join("snapshot-000001.r2d2snap"))
         .unwrap()
         .len();
+    // Footprint pin: a full snapshot (pages + per-partition footer metadata
+    // + graph + caches) stays within 4× the lake's logical bytes. Measured
+    // 2.73× with the v6 footer; the v5 footer's per-column MinHash
+    // signatures made it 5.54×.
+    let lake_bytes = wide.lake().total_bytes() as u64;
+    assert!(
+        full <= 4 * lake_bytes,
+        "full snapshot ({full} B) must stay within 4x the lake's {lake_bytes} logical bytes"
+    );
     for update in single_dataset_updates {
         wide.apply(update).unwrap();
         let seq = wide.checkpoint().unwrap();
@@ -705,90 +702,16 @@ fn metered_traffic_and_refresh_survive_the_crash() {
 }
 
 #[test]
-fn approx_session_restores_with_identical_signatures_and_gating() {
-    let dir = scratch_dir("approx_restore");
-    let updates = gen_updates(61, 4);
-    let approx_cfg = || config(1).with_approx(ApproxConfig::default());
-
-    let mut durable = R2d2Session::bootstrap(base_lake(), approx_cfg()).unwrap();
-    durable
-        .enable_persistence(PersistenceConfig::new(&dir).with_snapshot_every(2))
-        .unwrap();
-    for update in &updates[..2] {
-        durable.apply(update.clone()).unwrap();
-    }
-    drop(durable);
-
-    let mut uninterrupted = R2d2Session::bootstrap(base_lake(), approx_cfg()).unwrap();
-    for update in &updates[..2] {
-        uninterrupted.apply(update.clone()).unwrap();
-    }
-
-    let mut restored = R2d2Session::restore(&dir).unwrap();
-    assert_eq!(
-        restored.config().approx,
-        Some(ApproxConfig::default()),
-        "approx config round-trips through the snapshot"
-    );
-    assert_sessions_identical(&mut restored, &mut uninterrupted, "approx restore");
-
-    // The candidate tier reattaches bit-for-bit from the persisted footer
-    // signatures: per-dataset signatures, every pairwise gating decision,
-    // and the probe/prune counters the gate meters all agree — no row was
-    // re-hashed to get there.
-    let approx = restored.config().approx.unwrap();
-    let (restored_meter, live_meter) = (Meter::new(), Meter::new());
-    let restored_source = ApproxCandidates::build(restored.lake(), &approx, &restored_meter);
-    let live_source = ApproxCandidates::build(uninterrupted.lake(), &approx, &live_meter);
-    assert_eq!(restored_source.len(), live_source.len());
-    let ids: Vec<u64> = restored.lake().iter().map(|e| e.id.0).collect();
-    for &id in &ids {
-        let a = restored_source.signature(id).expect("signature present");
-        let b = live_source.signature(id).expect("signature present");
-        assert_eq!(a.mins(), b.mins(), "signature minima diverged for ds{id}");
-        assert_eq!(
-            a.cardinality, b.cardinality,
-            "cardinality diverged for ds{id}"
-        );
-    }
-    for &p in &ids {
-        for &c in &ids {
-            if p != c {
-                assert_eq!(
-                    restored_source.admit(p, c),
-                    live_source.admit(p, c),
-                    "gating decision diverged for ({p}, {c})"
-                );
-            }
-        }
-    }
-    assert_eq!(
-        restored_meter.snapshot(),
-        live_meter.snapshot(),
-        "gate metering diverged"
-    );
-
-    // And the restored session keeps gating identically under further
-    // updates.
-    for update in &updates[2..] {
-        restored.apply(update.clone()).unwrap();
-        uninterrupted.apply(update.clone()).unwrap();
-    }
-    assert_sessions_identical(&mut restored, &mut uninterrupted, "approx continue");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn old_snapshot_versions_fail_with_an_explicit_error() {
     let session = R2d2Session::bootstrap(base_lake(), config(1)).unwrap();
     let snapshot = session.snapshot();
     let mut raw = snapshot.as_bytes().to_vec();
     // Patch only the version field (bytes 8..12, after the magic): the
-    // reader must refuse v1–v4 by version, before it even reaches the
-    // checksum, rather than misparse the old layout (v4 in particular had
-    // no kind byte — a v5 reader treating it as current would misparse the
-    // body as a kind tag).
-    for old in [1u32, 2, 3, 4] {
+    // reader must refuse v1–v5 by version, before it even reaches the
+    // checksum, rather than misparse the old layout (v4 had no kind byte;
+    // a v5 body carries a longer config block, 17-word op counts and
+    // MinHash signatures in every embedded table footer).
+    for old in [1u32, 2, 3, 4, 5] {
         raw[8..12].copy_from_slice(&old.to_le_bytes());
         let err = SessionSnapshot::from_bytes(raw.clone())
             .restore()
@@ -831,13 +754,14 @@ fn old_wal_versions_fail_with_an_explicit_error() {
     durable.apply(gen_updates(3, 1)[0].clone()).unwrap();
     drop(durable);
 
-    // Patch only the version field (bytes 8..12, after the magic): a v5
-    // reader must refuse v1–v4 segments by version — v4 and older had no
+    // Patch only the version field (bytes 8..12, after the magic): the
+    // reader must refuse v1–v5 segments by version — v4 and older had no
     // generation/segment fields, so parsing one as current would misread
-    // record framing as header bytes.
+    // record framing as header bytes, and v5 records embed v5 tables and
+    // 17-word op counts.
     let wal = wal_files(&dir).pop().unwrap();
     let pristine = std::fs::read(&wal).unwrap();
-    for old in [1u32, 2, 3, 4] {
+    for old in [1u32, 2, 3, 4, 5] {
         let mut raw = pristine.clone();
         raw[8..12].copy_from_slice(&old.to_le_bytes());
         std::fs::write(&wal, &raw).unwrap();

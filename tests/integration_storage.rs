@@ -80,12 +80,12 @@ fn encoded_size_tracks_logical_size() {
     // The binary format should be within a small constant factor of the
     // logical byte size (no blow-up, no impossible compression since values
     // are stored verbatim) — after setting aside the footer's fixed
-    // per-column metadata (min/max, the 256-byte bloom sketch and the
-    // 520-byte MinHash signature, once per row group and once at table
-    // level), which dominates only for tiny tables like this one.
+    // per-column metadata (name, min/max, three counts and the 256-byte
+    // bloom sketch, once per row group and once at table level), which
+    // dominates only for tiny tables like this one.
     let columns = small.data.schema().fields().len();
     let sections = small.data.num_partitions() + 1;
-    let footer_allowance = (1024 * columns * sections) as f64;
+    let footer_allowance = (512 * columns * sections) as f64;
     let logical = small.data.byte_size() as f64;
     let physical = encoded.len() as f64;
     assert!(
