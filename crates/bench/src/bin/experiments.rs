@@ -12,14 +12,18 @@
 //! no-misdecode decoder contract over thousands of structured mutations per
 //! on-disk format; no JSON artifact) — or `all` (the default) for every table
 //! and figure. An unknown name prints that same list. `--smoke` switches to
-//! the small corpora used by the integration tests. Performance is not
-//! measured here: see `BENCHMARK.json` and `crates/bench/src/bin/benchmark/`.
+//! the small corpora used by the integration tests. Tables 1 and 2 also
+//! check the paper's stage invariants and panic (exit non-zero) if a stage
+//! loses a true containment edge or keeps more incorrect edges than the
+//! stage before it. Performance is not measured here: see `BENCHMARK.json`
+//! and `crates/bench/src/bin/benchmark/`.
 
 use r2d2_bench::experiments::{
     clp_params, containment, enterprise_corpora, figures, fuzz_sweep, optimization,
     schema_baselines, shootout_bench, synthetic_corpora, Scale,
 };
 use r2d2_core::PipelineConfig;
+use r2d2_synth::Corpus;
 
 fn scale_from_args(args: &[String]) -> Scale {
     if args.iter().any(|a| a == "--smoke") {
@@ -29,24 +33,29 @@ fn scale_from_args(args: &[String]) -> Scale {
     }
 }
 
-fn table1(scale: Scale) {
-    println!("== Table 1: enterprise-like corpora, edge quality per stage ==");
-    let corpora = enterprise_corpora(scale);
+/// Print the edge-quality table, then fail the run if any corpus breaks the
+/// stage invariants (zero loss, non-increasing incorrect edges).
+fn edge_quality(corpora: &[Corpus]) {
     let evals: Vec<_> = corpora
         .iter()
         .map(|c| containment::evaluate_corpus(c, &PipelineConfig::default()))
         .collect();
     println!("{}", containment::render_edge_quality(&evals));
+    for eval in &evals {
+        if let Err(violation) = containment::check_stage_invariants(eval) {
+            panic!("stage invariant violated: {violation}");
+        }
+    }
+}
+
+fn table1(scale: Scale) {
+    println!("== Table 1: enterprise-like corpora, edge quality per stage ==");
+    edge_quality(&enterprise_corpora(scale));
 }
 
 fn table2(scale: Scale) {
     println!("== Table 2: synthetic corpora (Table-Union-like, Kaggle-like) ==");
-    let corpora = synthetic_corpora(scale);
-    let evals: Vec<_> = corpora
-        .iter()
-        .map(|c| containment::evaluate_corpus(c, &PipelineConfig::default()))
-        .collect();
-    println!("{}", containment::render_edge_quality(&evals));
+    edge_quality(&synthetic_corpora(scale));
 }
 
 fn table3(scale: Scale) {

@@ -77,11 +77,6 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// The paper's default parameter configuration (`s = 4`, `t = 10`).
-    pub fn paper_defaults() -> Self {
-        Self::default()
-    }
-
     /// Override the CLP parameters, keeping everything else.
     pub fn with_clp_params(mut self, s: usize, t: usize) -> Self {
         self.clp_columns = s;
@@ -132,7 +127,6 @@ mod tests {
         assert_eq!(c.clp_rows, 10);
         assert_eq!(c.clp_sampling, ClpSampling::PredicateFilter);
         assert!(c.mmp_distinct_gate, "sketch gates default on");
-        assert_eq!(PipelineConfig::paper_defaults(), c);
     }
 
     #[test]

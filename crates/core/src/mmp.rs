@@ -11,15 +11,34 @@
 //! The **distinct-count gate** extends the same metadata-only reasoning to
 //! cardinalities: if a sound lower bound on `distinct(child.c)` (largest
 //! exact per-partition count, or the table sketch's popcount bound — see
-//! [`r2d2_lake::PartitionedTable::column_distinct_lower_bound`]) exceeds an
-//! upper bound on `distinct(parent.c)` (the table-level count, exact for
-//! catalog-built tables), the child provably holds a value the parent
-//! lacks, so containment is impossible and the edge is pruned — again
-//! without reading a row. Gate prunes are counted separately (both in
-//! [`MmpStats`] and on the meter's `distinct_prunes` counter).
+//! [`r2d2_lake::ColumnMeta::distinct_lower`]) exceeds an upper bound on
+//! `distinct(parent.c)` (the table-level count, exact for catalog-built
+//! tables), the child provably holds a value the parent lacks, so
+//! containment is impossible and the edge is pruned — again without reading
+//! a row. Gate prunes are counted separately (both in [`MmpStats`] and on
+//! the meter's `distinct_prunes` counter).
+//!
+//! **Cost model.** Every table carries a name-sorted column view of its
+//! metadata ([`r2d2_lake::PartitionedTable::column_meta`]), built once with
+//! the table. Checking an edge is one merge-walk of the child's view
+//! against the parent's: no schema set is built, no column name is hashed,
+//! no value is cloned and nothing is allocated. Common columns are visited
+//! in name order with the same early exits as the column-at-a-time
+//! formulation, so the meter is charged the same work: two
+//! `metadata_lookups` per min/max comparison and two per distinct-gate
+//! comparison. Those charges are folded per run (or per edge, on the
+//! session's single-edge path) and added to the shared meter once. A run
+//! builds its output graph from the surviving edges of its input (same node
+//! order, annotations copied), so building it costs per surviving edge,
+//! not per pruned one.
 
-use r2d2_graph::ContainmentGraph;
-use r2d2_lake::{DataLake, DatasetId, LakeError, Meter, Result};
+use r2d2_graph::{ContainmentGraph, NodeId};
+use r2d2_lake::{ColumnMeta, DataLake, DatasetId, Meter, PartitionedTable, Result};
+use std::cmp::Ordering;
+
+/// Edges per unit of parallel work: large enough that scheduling and the
+/// result merge cost little next to the checks, small enough to balance.
+const EDGE_CHUNK: usize = 256;
 
 /// Which metadata checks an MMP run applies on top of the min/max check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,52 +71,57 @@ pub struct MmpStats {
     pub columns_checked: usize,
 }
 
-/// Outcome of checking one edge, merged deterministically afterwards.
+/// Outcome of checking one edge.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct EdgeCheck {
     prune: bool,
     distinct_prune: bool,
     columns_checked: usize,
+    metadata_lookups: u64,
 }
 
-/// Check a single `parent → child` edge against column min/max metadata and
-/// (when `options.distinct_gate` is set) the distinct-count bounds.
-fn check_edge(
-    lake: &DataLake,
-    parent_id: u64,
-    child_id: u64,
+/// Whether the child's range on one common column provably escapes the
+/// parent's.
+fn range_violates(child: &ColumnMeta<'_>, parent: &ColumnMeta<'_>) -> bool {
+    match (child.min, child.max, parent.min, parent.max) {
+        (Some(cmin), Some(cmax), Some(pmin), Some(pmax)) => {
+            cmin.total_cmp(pmin) == Ordering::Less || cmax.total_cmp(pmax) == Ordering::Greater
+        }
+        // Child has values in a column where the parent has none:
+        // containment is impossible.
+        (Some(_), Some(_), None, None) => true,
+        // Child column all-null (or empty): cannot disprove.
+        _ => false,
+    }
+}
+
+/// Check `parent → child` against column min/max metadata and (when
+/// `options.distinct_gate` is set) the distinct-count bounds: one
+/// merge-walk over the two tables' name-sorted column views, visiting the
+/// common columns in name order and stopping at the first disproof.
+fn check_tables(
+    parent: &PartitionedTable,
+    child: &PartitionedTable,
     options: MmpOptions,
-    meter: &Meter,
-) -> Result<EdgeCheck> {
-    let parent = lake.dataset(DatasetId(parent_id))?;
-    let child = lake.dataset(DatasetId(child_id))?;
-
-    let parent_schema = parent.data.schema();
-    let child_schema = child.data.schema();
-    let common: Vec<String> = child_schema
-        .schema_set()
-        .intersection(&parent_schema.schema_set());
-
-    let mut columns_checked = 0usize;
-    let mut prune = false;
-    let mut distinct_prune = false;
-    for col in &common {
-        if child_schema.data_type(col)?.supports_min_max() {
-            columns_checked += 1;
-            let (cmin, cmax) = child.data.column_min_max(col, meter)?;
-            let (pmin, pmax) = parent.data.column_min_max(col, meter)?;
-            let violates = match (cmin, cmax, pmin, pmax) {
-                (Some(cmin), Some(cmax), Some(pmin), Some(pmax)) => {
-                    cmin.total_cmp(&pmin) == std::cmp::Ordering::Less
-                        || cmax.total_cmp(&pmax) == std::cmp::Ordering::Greater
-                }
-                // Child has values in a column where the parent has none:
-                // containment is impossible.
-                (Some(_), Some(_), None, None) => true,
-                // Child column all-null (or empty): cannot disprove.
-                _ => false,
-            };
-            if violates {
-                prune = true;
+) -> EdgeCheck {
+    let mut check = EdgeCheck::default();
+    let mut parent_columns = parent.column_meta().peekable();
+    for c in child.column_meta() {
+        while parent_columns
+            .next_if(|p| p.field.name < c.field.name)
+            .is_some()
+        {}
+        let Some(p) = parent_columns.next_if(|p| p.field.name == c.field.name) else {
+            if parent_columns.peek().is_none() {
+                break;
+            }
+            continue;
+        };
+        if c.field.data_type.supports_min_max() {
+            check.columns_checked += 1;
+            check.metadata_lookups += 2;
+            if range_violates(&c, &p) {
+                check.prune = true;
                 break;
             }
         }
@@ -105,21 +129,22 @@ fn check_edge(
         // provably holds a value the parent lacks in this column, so some
         // child row cannot be in the parent. Applies to every common column
         // (distinct counts exist regardless of min/max support).
-        if options.distinct_gate
-            && child.data.column_distinct_lower_bound(col, meter)
-                > parent.data.column_distinct_upper_bound(col, meter)
-        {
-            prune = true;
-            distinct_prune = true;
-            meter.add_distinct_prunes(1);
-            break;
+        if options.distinct_gate {
+            check.metadata_lookups += 2;
+            if c.distinct_lower > p.distinct_upper {
+                check.prune = true;
+                check.distinct_prune = true;
+                break;
+            }
         }
     }
-    Ok(EdgeCheck {
-        prune,
-        distinct_prune,
-        columns_checked,
-    })
+    check
+}
+
+/// Charge one or more folded edge checks to the meter.
+fn charge(meter: &Meter, metadata_lookups: u64, distinct_prunes: usize) {
+    meter.add_metadata_lookups(metadata_lookups);
+    meter.add_distinct_prunes(distinct_prunes as u64);
 }
 
 /// Whether the single edge `parent → child` survives Min-Max Pruning, using
@@ -133,7 +158,63 @@ pub(crate) fn edge_passes(
     options: MmpOptions,
     meter: &Meter,
 ) -> Result<bool> {
-    Ok(!check_edge(lake, parent_id, child_id, options, meter)?.prune)
+    let parent = &lake.dataset(DatasetId(parent_id))?.data;
+    let child = &lake.dataset(DatasetId(child_id))?.data;
+    let check = check_tables(parent, child, options);
+    charge(meter, check.metadata_lookups, check.distinct_prune as usize);
+    Ok(!check.prune)
+}
+
+/// Run Min-Max Pruning over `graph` and return the graph of surviving
+/// edges — same nodes in the same order, annotations kept — with the run's
+/// statistics. `graph` itself is left untouched. See
+/// [`min_max_prune_threaded`].
+pub(crate) fn min_max_survivors(
+    lake: &DataLake,
+    graph: &ContainmentGraph,
+    options: MmpOptions,
+    threads: usize,
+    meter: &Meter,
+) -> Result<(ContainmentGraph, MmpStats)> {
+    // Resolve every node's table once; an edge touching a dataset missing
+    // from the lake fails with the catalog's own error.
+    let ids = graph.datasets();
+    let tables: Vec<Option<&PartitionedTable>> = ids
+        .iter()
+        .map(|&id| lake.dataset(DatasetId(id)).ok().map(|e| &*e.data))
+        .collect();
+    let table = |node: NodeId| match tables[node.0] {
+        Some(table) => Ok(table),
+        None => lake.dataset(DatasetId(ids[node.0])).map(|e| &*e.data),
+    };
+
+    let edges = graph.digraph().edges();
+    let chunks: Vec<&[(NodeId, NodeId)]> = edges.chunks(EDGE_CHUNK).collect();
+    let checks: Vec<Vec<EdgeCheck>> = crate::fanout::try_parallel_map(threads, &chunks, |chunk| {
+        chunk
+            .iter()
+            .map(|&(parent, child)| Ok(check_tables(table(parent)?, table(child)?, options)))
+            .collect()
+    })?;
+
+    let mut stats = MmpStats::default();
+    let mut metadata_lookups = 0u64;
+    let mut survivors = ContainmentGraph::with_datasets(ids.iter().copied());
+    for (&(parent, child), check) in edges.iter().zip(checks.iter().flatten()) {
+        stats.edges_examined += 1;
+        stats.columns_checked += check.columns_checked;
+        stats.edges_pruned_by_distinct += check.distinct_prune as usize;
+        metadata_lookups += check.metadata_lookups;
+        if check.prune {
+            stats.edges_pruned += 1;
+        } else {
+            let (parent, child) = (ids[parent.0], ids[child.0]);
+            let annotation = graph.edge(parent, child).cloned().unwrap_or_default();
+            survivors.add_edge_with(parent, child, annotation);
+        }
+    }
+    charge(meter, metadata_lookups, stats.edges_pruned_by_distinct);
+    Ok((survivors, stats))
 }
 
 /// Run Min-Max Pruning over `graph`, mutating it in place, single-threaded.
@@ -148,7 +229,7 @@ pub fn min_max_prune(
 }
 
 /// Run Min-Max Pruning over `graph` on up to `threads` workers (`0` = all
-/// hardware threads), mutating the graph in place.
+/// hardware threads), replacing the graph with its surviving edges.
 ///
 /// The min/max check covers the columns whose declared type supports
 /// min/max semantics (numbers, timestamps, strings), matching the paper's
@@ -156,10 +237,10 @@ pub fn min_max_prune(
 /// provides for byte arrays; `options.distinct_gate` adds the distinct-count
 /// gate.
 ///
-/// Each edge's check only reads the (immutable) lake and the shared atomic
-/// meter, so edges fan out freely; prune decisions are applied to the graph
-/// afterwards in edge order, making the resulting graph, stats and meter
-/// totals identical for every thread count.
+/// Each edge's check only reads the (immutable) lake, so chunks of edges
+/// fan out freely; decisions and counters are merged afterwards in edge
+/// order, making the resulting graph, stats and meter totals identical for
+/// every thread count.
 pub fn min_max_prune_threaded(
     lake: &DataLake,
     graph: &mut ContainmentGraph,
@@ -167,24 +248,8 @@ pub fn min_max_prune_threaded(
     threads: usize,
     meter: &Meter,
 ) -> Result<MmpStats> {
-    let edges = graph.edges();
-    let checks: Vec<EdgeCheck> =
-        crate::fanout::try_parallel_map(threads, &edges, |&(parent_id, child_id)| {
-            check_edge(lake, parent_id, child_id, options, meter)
-        })?;
-
-    let mut stats = MmpStats::default();
-    for (&(parent_id, child_id), check) in edges.iter().zip(checks) {
-        stats.edges_examined += 1;
-        stats.columns_checked += check.columns_checked;
-        stats.edges_pruned_by_distinct += check.distinct_prune as usize;
-        if check.prune {
-            graph
-                .remove_edge(parent_id, child_id)
-                .ok_or_else(|| LakeError::InvalidArgument("edge disappeared".into()))?;
-            stats.edges_pruned += 1;
-        }
-    }
+    let (survivors, stats) = min_max_survivors(lake, graph, options, threads, meter)?;
+    *graph = survivors;
     Ok(stats)
 }
 
@@ -193,10 +258,10 @@ mod tests {
     use super::*;
     use r2d2_lake::{AccessProfile, Column, DataLake, DataType, PartitionedTable, Schema, Table};
 
-    const GATED: MmpOptions = MmpOptions {
+    pub(super) const GATED: MmpOptions = MmpOptions {
         distinct_gate: true,
     };
-    const UNGATED: MmpOptions = MmpOptions {
+    pub(super) const UNGATED: MmpOptions = MmpOptions {
         distinct_gate: false,
     };
 
@@ -474,5 +539,306 @@ mod tests {
         graph.add_edge(p, c);
         let stats = min_max_prune(&lake, &mut graph, GATED, &Meter::new()).unwrap();
         assert_eq!(stats.columns_checked, 2, "id and amount both checked");
+    }
+}
+
+/// The merge-walk against Algorithm 2 stated column at a time, keyed by
+/// column name, on random lakes shaped by the corpus transforms (impostor
+/// ranges, null floods, drifted types and names, empty tables).
+#[cfg(test)]
+mod equivalence {
+    use super::tests::{GATED, UNGATED};
+    use super::*;
+    use r2d2_lake::{AccessProfile, Column, DataType, PartitionSpec, Schema, Table, Value};
+    use r2d2_synth::Transform;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Algorithm 2 as the column-at-a-time check: intersect the two schema
+    /// sets, then look every common column's statistics up by name. The
+    /// merge-walk must reach the same decision and charge the same lookups.
+    fn reference_check(
+        parent: &PartitionedTable,
+        child: &PartitionedTable,
+        options: MmpOptions,
+    ) -> EdgeCheck {
+        let min_max = |t: &PartitionedTable, col: &str| {
+            t.table_stats()
+                .get(col)
+                .map_or((None, None), |s| (s.min.clone(), s.max.clone()))
+        };
+        let lower = |t: &PartitionedTable, col: &str| {
+            if t.table_distinct_exact() {
+                return t.table_stats().get(col).map_or(0, |s| s.distinct_count);
+            }
+            let from_partitions = t
+                .partition_meta()
+                .iter()
+                .filter_map(|m| m.column_stats.get(col))
+                .map(|s| s.distinct_count)
+                .max()
+                .unwrap_or(0);
+            let from_sketch = t
+                .table_stats()
+                .get(col)
+                .map_or(0, |s| s.sketch.min_distinct());
+            from_partitions.max(from_sketch)
+        };
+        let upper = |t: &PartitionedTable, col: &str| {
+            t.table_stats()
+                .get(col)
+                .map_or(usize::MAX, |s| s.distinct_count)
+        };
+
+        let common = child
+            .schema()
+            .schema_set()
+            .intersection(&parent.schema().schema_set());
+        let mut check = EdgeCheck::default();
+        for col in &common {
+            if child.schema().data_type(col).unwrap().supports_min_max() {
+                check.columns_checked += 1;
+                check.metadata_lookups += 2;
+                let violates = match (min_max(child, col), min_max(parent, col)) {
+                    ((Some(cmin), Some(cmax)), (Some(pmin), Some(pmax))) => {
+                        cmin.total_cmp(&pmin) == Ordering::Less
+                            || cmax.total_cmp(&pmax) == Ordering::Greater
+                    }
+                    ((Some(_), Some(_)), (None, None)) => true,
+                    _ => false,
+                };
+                if violates {
+                    check.prune = true;
+                    break;
+                }
+            }
+            if options.distinct_gate {
+                check.metadata_lookups += 2;
+                if lower(child, col) > upper(parent, col) {
+                    check.prune = true;
+                    check.distinct_prune = true;
+                    break;
+                }
+            }
+        }
+        check
+    }
+
+    fn root_table(rng: &mut SmallRng) -> Table {
+        let schema = Schema::flat(&[
+            ("id", DataType::Int),
+            ("name", DataType::Utf8),
+            ("score", DataType::Float),
+            ("ts", DataType::Timestamp),
+            ("flag", DataType::Bool),
+        ])
+        .unwrap();
+        let n = rng.gen_range(1usize..40);
+        let mut cells: Vec<Vec<Value>> = vec![Vec::new(); 5];
+        for _ in 0..n {
+            let null = |rng: &mut SmallRng| rng.gen_bool(0.1);
+            let row = [
+                Value::Int(rng.gen_range(-20i64..60)),
+                Value::Str(format!("n{}", rng.gen_range(0u32..12))),
+                Value::Float(rng.gen_range(-5.0f64..5.0)),
+                Value::Timestamp(rng.gen_range(1_000i64..1_100)),
+                Value::Bool(rng.gen_bool(0.5)),
+            ];
+            for (col, v) in cells.iter_mut().zip(row) {
+                col.push(if null(rng) { Value::Null } else { v });
+            }
+        }
+        let columns = schema
+            .fields()
+            .iter()
+            .zip(cells)
+            .map(|(f, values)| Column::new(f.data_type, values).unwrap())
+            .collect();
+        Table::new(schema, columns).unwrap()
+    }
+
+    fn derive(source: &Table, rng: &mut SmallRng) -> Table {
+        let transform = match rng.gen_range(0u32..14) {
+            0 => Transform::SampleFraction {
+                fraction: rng.gen_range(0.2f64..1.0),
+            },
+            1 => Transform::SampleWhere { zipf_exponent: 1.0 },
+            2 => Transform::AddRows {
+                count: rng.gen_range(1usize..6),
+            },
+            3 | 4 => Transform::ResampleInRange,
+            5 => Transform::DropColumns {
+                count: rng.gen_range(1usize..3),
+            },
+            6 => Transform::NullFlood {
+                fraction: rng.gen_range(0.2f64..0.9),
+            },
+            7 => Transform::NullFlood { fraction: 1.0 },
+            8 => Transform::AddNoise { magnitude: 2.0 },
+            9 => Transform::RenameColumn,
+            10 => Transform::WidenIntToFloat,
+            11 => Transform::UnicodeDecorate,
+            12 => Transform::SortByColumn,
+            _ => return Table::empty(source.schema().clone()),
+        };
+        transform
+            .apply(source, rng)
+            .map(|outcome| outcome.table)
+            .unwrap_or_else(|_| source.clone())
+    }
+
+    /// Partition a table one of three ways; the last reassembles it from
+    /// its partitions, so its distinct counts are per-partition sums and its
+    /// lower bounds come from partitions and the sketch.
+    fn partitioned(table: Table, rng: &mut SmallRng) -> PartitionedTable {
+        match rng.gen_range(0u32..3) {
+            0 => PartitionedTable::single(table),
+            1 => PartitionedTable::from_table(
+                table,
+                PartitionSpec::ByRowCount {
+                    rows_per_partition: rng.gen_range(1usize..8),
+                },
+            )
+            .unwrap(),
+            _ => {
+                let exact = PartitionedTable::from_table(
+                    table,
+                    PartitionSpec::ByRowCount {
+                        rows_per_partition: rng.gen_range(1usize..8),
+                    },
+                )
+                .unwrap();
+                PartitionedTable::from_partition_tables(exact.partitions().to_vec()).unwrap()
+            }
+        }
+    }
+
+    fn random_lake(seed: u64) -> DataLake {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut tables = vec![root_table(&mut rng)];
+        for _ in 0..rng.gen_range(3usize..9) {
+            let source = tables[rng.gen_range(0..tables.len())].clone();
+            tables.push(derive(&source, &mut rng));
+        }
+        let mut lake = DataLake::new();
+        for (k, table) in tables.into_iter().enumerate() {
+            let data = partitioned(table, &mut rng);
+            lake.add_dataset(format!("d{k}"), data, AccessProfile::default(), None)
+                .unwrap();
+        }
+        lake
+    }
+
+    /// Every ordered pair of distinct datasets: schema containment is not
+    /// required, so the walk also meets disjoint and partial overlaps.
+    fn all_pairs(lake: &DataLake) -> Vec<(u64, u64)> {
+        let ids: Vec<u64> = lake.iter().map(|e| e.id.0).collect();
+        ids.iter()
+            .flat_map(|&p| ids.iter().filter(move |&&c| c != p).map(move |&c| (p, c)))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn merge_walk_matches_the_name_keyed_reference(seed in 0u64..1_000_000) {
+            let lake = random_lake(seed);
+            let pairs = all_pairs(&lake);
+            for options in [GATED, UNGATED] {
+                let mut expected = MmpStats::default();
+                let mut expected_lookups = 0u64;
+                let mut expected_graph = ContainmentGraph::new();
+                for &(p, c) in &pairs {
+                    expected_graph.add_edge(p, c);
+                }
+                let input = expected_graph.clone();
+
+                for &(p, c) in &pairs {
+                    let parent = &lake.dataset(DatasetId(p)).unwrap().data;
+                    let child = &lake.dataset(DatasetId(c)).unwrap().data;
+                    let reference = reference_check(parent, child, options);
+                    proptest::prop_assert_eq!(
+                        check_tables(parent, child, options),
+                        reference,
+                        "seed {} edge {}->{} {:?}", seed, p, c, options
+                    );
+
+                    let meter = Meter::new();
+                    let passes = edge_passes(&lake, p, c, options, &meter).unwrap();
+                    let counts = meter.snapshot();
+                    proptest::prop_assert_eq!(passes, !reference.prune);
+                    proptest::prop_assert_eq!(counts.metadata_lookups, reference.metadata_lookups);
+                    proptest::prop_assert_eq!(counts.distinct_prunes, reference.distinct_prune as u64);
+                    proptest::prop_assert_eq!(counts.rows_scanned, 0);
+
+                    expected.edges_examined += 1;
+                    expected.columns_checked += reference.columns_checked;
+                    expected.edges_pruned_by_distinct += reference.distinct_prune as usize;
+                    expected_lookups += reference.metadata_lookups;
+                    if reference.prune {
+                        expected.edges_pruned += 1;
+                        expected_graph.remove_edge(p, c);
+                    }
+                }
+
+                for threads in [1, 2] {
+                    let meter = Meter::new();
+                    let mut graph = input.clone();
+                    let stats =
+                        min_max_prune_threaded(&lake, &mut graph, options, threads, &meter).unwrap();
+                    let counts = meter.snapshot();
+                    proptest::prop_assert_eq!(stats, expected, "seed {} threads {}", seed, threads);
+                    proptest::prop_assert_eq!(&graph, &expected_graph);
+                    proptest::prop_assert_eq!(counts.metadata_lookups, expected_lookups);
+                    proptest::prop_assert_eq!(
+                        counts.distinct_prunes,
+                        expected.edges_pruned_by_distinct as u64
+                    );
+                }
+            }
+        }
+    }
+
+    /// The property above is only as strong as its lakes: across 64 of
+    /// them, every outcome and metadata shape it is meant to cover must
+    /// actually occur.
+    #[test]
+    fn random_lakes_cover_every_outcome() {
+        let (mut range, mut distinct, mut survive, mut empty_parent) = (0, 0, 0, 0);
+        let (mut drifted, mut inexact, mut empty) = (0, 0, 0);
+        for seed in 0..64 {
+            let lake = random_lake(seed);
+            inexact += lake
+                .iter()
+                .filter(|e| !e.data.table_distinct_exact())
+                .count();
+            empty += lake.iter().filter(|e| e.data.num_rows() == 0).count();
+            for (p, c) in all_pairs(&lake) {
+                let parent = &lake.dataset(DatasetId(p)).unwrap().data;
+                let child = &lake.dataset(DatasetId(c)).unwrap().data;
+                let check = reference_check(parent, child, GATED);
+                range += (check.prune && !check.distinct_prune) as usize;
+                distinct += check.distinct_prune as usize;
+                survive += (!check.prune && check.columns_checked > 0) as usize;
+                for cm in child.column_meta() {
+                    let Some(pm) = parent.column_meta().find(|m| m.field.name == cm.field.name)
+                    else {
+                        continue;
+                    };
+                    empty_parent += (cm.min.is_some() && pm.min.is_none()) as usize;
+                    drifted += (cm.field.data_type != pm.field.data_type) as usize;
+                }
+            }
+        }
+        for (what, n) in [
+            ("range prunes", range),
+            ("distinct-gate prunes", distinct),
+            ("surviving edges", survive),
+            ("child values over an all-null parent column", empty_parent),
+            ("common columns of differing types", drifted),
+            ("tables without exact distinct counts", inexact),
+            ("empty tables", empty),
+        ] {
+            assert!(n > 0, "no {what} in the random lakes");
+        }
     }
 }

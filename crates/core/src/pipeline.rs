@@ -7,7 +7,7 @@
 
 use crate::clp::content_level_prune;
 use crate::config::PipelineConfig;
-use crate::mmp::{min_max_prune_threaded, MmpOptions};
+use crate::mmp::{min_max_survivors, MmpOptions};
 use crate::sgb::{build_schema_graph_threaded, SgbResult};
 use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{DataLake, Meter, OpCounts, Result, SchemaSet};
@@ -143,17 +143,15 @@ impl R2d2Pipeline {
         });
 
         // Stage 2: MMP.
-        let mut graph = after_sgb.clone();
         let before = meter.snapshot();
         let t0 = Instant::now();
-        min_max_prune_threaded(
+        let (after_mmp, _) = min_max_survivors(
             lake,
-            &mut graph,
+            &after_sgb,
             MmpOptions::from_config(&self.config),
             self.config.threads,
             &meter,
         )?;
-        let after_mmp = graph.clone();
         stages.push(StageReport {
             stage: Stage::Mmp,
             duration: t0.elapsed(),
@@ -162,6 +160,7 @@ impl R2d2Pipeline {
         });
 
         // Stage 3: CLP.
+        let mut graph = after_mmp.clone();
         let before = meter.snapshot();
         let t0 = Instant::now();
         content_level_prune(lake, &mut graph, &self.config, &meter)?;

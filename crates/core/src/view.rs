@@ -70,11 +70,6 @@ impl SessionView {
         &self.graph
     }
 
-    /// The graph's shared handle (for re-publishing without another clone).
-    pub fn graph_arc(&self) -> Arc<ContainmentGraph> {
-        Arc::clone(&self.graph)
-    }
-
     /// The storage advisor's Opt-Ret solution as of the capture point
     /// (`None` when the session had no advisor attached).
     pub fn advice(&self) -> Option<&Solution> {

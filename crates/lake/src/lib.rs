@@ -73,7 +73,7 @@ pub use csv::{CsvOptions, CsvRead, IngestError, QuarantinedRow};
 pub use datatype::DataType;
 pub use error::{LakeError, Result};
 pub use meter::{Meter, OpCounts};
-pub use partition::{PartitionSpec, PartitionedTable};
+pub use partition::{ColumnMeta, PartitionSpec, PartitionedTable};
 pub use query::{ContainmentCheck, HashJoinCache, Predicate};
 pub use row::{Row, RowHash, RowHashMap, RowHashMapHasher};
 pub use schema::{Field, InternedSchemaSet, Schema, SchemaInterner, SchemaNode, SchemaSet};

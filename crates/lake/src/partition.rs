@@ -9,10 +9,18 @@
 //! A [`PartitionedTable`] holds the same logical data as a [`Table`] but
 //! split into horizontal partitions, each carrying its own
 //! [`ColumnStats`] metadata, plus merged table-level metadata.
+//!
+//! A table is immutable once built, so construction also derives a
+//! name-sorted **column view** of that metadata ([`ColumnMeta`], served by
+//! [`PartitionedTable::column_meta`]): per column, its field, table-level
+//! min and max, and sound distinct-count bounds. Min-Max Pruning merge-walks
+//! two tables' views instead of looking columns up by name. The view is
+//! derived, never persisted: a decoded table rebuilds it from its footer
+//! statistics.
 
 use crate::error::{LakeError, Result};
 use crate::meter::Meter;
-use crate::schema::Schema;
+use crate::schema::{Field, Schema};
 use crate::stats::ColumnStats;
 use crate::table::Table;
 use crate::value::Value;
@@ -53,6 +61,40 @@ pub struct PartitionMeta {
     pub column_stats: HashMap<String, ColumnStats>,
 }
 
+/// One column of a table's metadata view, borrowed from the table (see
+/// [`PartitionedTable::column_meta`]). Reading it costs no row access.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ColumnMeta<'a> {
+    /// The column's schema field (flattened name and declared type).
+    pub field: &'a Field,
+    /// Table-level minimum non-null value (`None` for an all-null or empty
+    /// column, or one without statistics).
+    pub min: Option<&'a Value>,
+    /// Table-level maximum non-null value (`None` as for `min`).
+    pub max: Option<&'a Value>,
+    /// A sound lower bound on the column's distinct non-null values: the
+    /// exact table-level count when the table has one, otherwise the best
+    /// of the largest per-partition count and the table sketch's popcount
+    /// bound ([`crate::sketch::ColumnSketch::min_distinct`]). `0` without
+    /// statistics (no evidence, no prune).
+    pub distinct_lower: usize,
+    /// An upper bound on the column's distinct non-null values: the
+    /// table-level count (exact for tables built by
+    /// [`PartitionedTable::from_table`], a per-partition sum otherwise), or
+    /// `usize::MAX` without statistics.
+    pub distinct_upper: usize,
+}
+
+/// The owned half of a [`ColumnMeta`]: everything but the borrowed field.
+#[derive(Debug, Clone, PartialEq)]
+struct ColumnBounds {
+    field: usize,
+    min: Option<Value>,
+    max: Option<Value>,
+    distinct_lower: usize,
+    distinct_upper: usize,
+}
+
 /// A horizontally partitioned table with partition-level metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionedTable {
@@ -64,6 +106,8 @@ pub struct PartitionedTable {
     /// whole [`Table`], or decoded from a footer written by one) rather than
     /// per-partition sums (upper bounds).
     table_distinct_exact: bool,
+    /// The column view, one entry per schema field, sorted by name.
+    columns: Vec<ColumnBounds>,
     num_rows: usize,
     spec: PartitionSpec,
 }
@@ -73,6 +117,31 @@ impl PartitionedTable {
     /// the same schema). Used by the storage layer when reading row groups
     /// back from disk.
     pub fn from_partition_tables(partitions: Vec<Table>) -> Result<Self> {
+        let schema = Self::shared_schema(&partitions)?;
+        Self::assemble(schema, partitions, PartitionSpec::Explicit, None)
+    }
+
+    /// Storage decode hook: [`Self::from_partition_tables`] with the
+    /// table-level statistics the table was encoded with (exact distinct
+    /// counts and value sketches from the `R2D2LAKE` footer) instead of the
+    /// merged per-partition upper bounds.
+    pub(crate) fn from_decoded_partitions(
+        partitions: Vec<Table>,
+        table_stats: HashMap<String, ColumnStats>,
+        distinct_exact: bool,
+    ) -> Result<Self> {
+        let schema = Self::shared_schema(&partitions)?;
+        Self::assemble(
+            schema,
+            partitions,
+            PartitionSpec::Explicit,
+            Some((table_stats, distinct_exact)),
+        )
+    }
+
+    /// The schema every partition shares, or an error for no partitions or
+    /// mismatched schemas.
+    fn shared_schema(partitions: &[Table]) -> Result<Schema> {
         let schema = match partitions.first() {
             Some(p) => p.schema().clone(),
             None => {
@@ -81,14 +150,14 @@ impl PartitionedTable {
                 ))
             }
         };
-        for p in &partitions {
+        for p in partitions {
             if p.schema() != &schema {
                 return Err(LakeError::InvalidArgument(
                     "all partitions must share the same schema".to_string(),
                 ));
             }
         }
-        Self::assemble(schema, partitions, PartitionSpec::Explicit)
+        Ok(schema)
     }
 
     /// Restore hook for [`crate::snapshot`]: re-attach the original
@@ -101,7 +170,16 @@ impl PartitionedTable {
         self
     }
 
-    fn assemble(schema: Schema, partitions: Vec<Table>, spec: PartitionSpec) -> Result<Self> {
+    /// Build the table from its partitions. `table_stats` supplies the
+    /// table-level statistics and whether their distinct counts are exact;
+    /// without it they are merged from the partitions (distinct counts then
+    /// being per-partition sums).
+    fn assemble(
+        schema: Schema,
+        partitions: Vec<Table>,
+        spec: PartitionSpec,
+        table_stats: Option<(HashMap<String, ColumnStats>, bool)>,
+    ) -> Result<Self> {
         let partition_meta: Vec<PartitionMeta> = partitions
             .iter()
             .map(|p| PartitionMeta {
@@ -111,39 +189,20 @@ impl PartitionedTable {
             })
             .collect();
 
-        let mut table_stats: HashMap<String, ColumnStats> = HashMap::new();
-        for meta in &partition_meta {
-            for (name, stats) in &meta.column_stats {
-                table_stats
-                    .entry(name.clone())
-                    .and_modify(|s| *s = s.merge(stats))
-                    .or_insert_with(|| stats.clone());
-            }
-        }
+        let (table_stats, table_distinct_exact) =
+            table_stats.unwrap_or_else(|| (merge_partition_stats(&partition_meta), false));
+        let columns = column_bounds(&schema, &partition_meta, &table_stats, table_distinct_exact);
         let num_rows = partitions.iter().map(Table::num_rows).sum();
         Ok(PartitionedTable {
             schema,
             partitions,
             partition_meta,
             table_stats,
-            table_distinct_exact: false,
+            table_distinct_exact,
+            columns,
             num_rows,
             spec,
         })
-    }
-
-    /// Restore hook for the storage layer: reattach the table-level
-    /// statistics the table was encoded with (exact distinct counts and
-    /// value sketches from the `R2D2LAKE` v3 footer) instead of the merged
-    /// per-partition upper bounds [`Self::assemble`] derives.
-    pub(crate) fn with_table_stats(
-        mut self,
-        table_stats: HashMap<String, ColumnStats>,
-        distinct_exact: bool,
-    ) -> PartitionedTable {
-        self.table_stats = table_stats;
-        self.table_distinct_exact = distinct_exact;
-        self
     }
 
     /// Partition a table according to `spec`.
@@ -206,7 +265,7 @@ impl PartitionedTable {
             }
         };
 
-        Ok(Self::assemble(schema, partitions, spec)?.with_table_stats(exact_stats, true))
+        Self::assemble(schema, partitions, spec, Some((exact_stats, true)))
     }
 
     /// The schema shared by every partition.
@@ -250,75 +309,19 @@ impl PartitionedTable {
         &self.table_stats
     }
 
-    /// Min and max of a column, served purely from metadata.
-    ///
-    /// This is the lookup Min-Max Pruning performs; it costs one metadata
-    /// lookup on the meter and never touches row data. Returns `(None, None)`
-    /// for an all-null or missing-stats column, and an error for a column not
-    /// in the schema.
-    pub fn column_min_max(
-        &self,
-        column: &str,
-        meter: &Meter,
-    ) -> Result<(Option<Value>, Option<Value>)> {
-        meter.add_metadata_lookups(1);
-        match self.table_stats.get(column) {
-            Some(s) => Ok((s.min.clone(), s.max.clone())),
-            None => {
-                if self.schema.index_of(column).is_some() {
-                    // Schema knows the column but the table is empty.
-                    Ok((None, None))
-                } else {
-                    Err(LakeError::ColumnNotFound(column.to_string()))
-                }
-            }
-        }
-    }
-
-    /// A sound **lower bound** on the number of distinct non-null values of
-    /// a column, served purely from metadata (one metered lookup, no row
-    /// reads): the best of (a) the largest exact per-partition distinct
-    /// count (the table holds at least every value one partition holds) and
-    /// (b) the table sketch's popcount bound
-    /// ([`crate::sketch::ColumnSketch::min_distinct`]). Returns `0` for a
-    /// missing or all-null column (no evidence, no prune).
-    pub fn column_distinct_lower_bound(&self, column: &str, meter: &Meter) -> usize {
-        meter.add_metadata_lookups(1);
-        if self.table_distinct_exact {
-            // The exact figure is its own (tight) lower bound — O(1).
-            return self
-                .table_stats
-                .get(column)
-                .map(|s| s.distinct_count)
-                .unwrap_or(0);
-        }
-        let from_partitions = self
-            .partition_meta
-            .iter()
-            .filter_map(|m| m.column_stats.get(column))
-            .map(|s| s.distinct_count)
-            .max()
-            .unwrap_or(0);
-        let from_sketch = self
-            .table_stats
-            .get(column)
-            .map(|s| s.sketch.min_distinct())
-            .unwrap_or(0);
-        from_partitions.max(from_sketch)
-    }
-
-    /// An **upper bound** on the number of distinct non-null values of a
-    /// column, served purely from metadata (one metered lookup): the
-    /// table-level `distinct_count`, which is exact for tables built through
-    /// [`PartitionedTable::from_table`] and a per-partition sum otherwise.
-    /// Returns `usize::MAX` when the column has no statistics (no evidence,
-    /// no prune).
-    pub fn column_distinct_upper_bound(&self, column: &str, meter: &Meter) -> usize {
-        meter.add_metadata_lookups(1);
-        self.table_stats
-            .get(column)
-            .map(|s| s.distinct_count)
-            .unwrap_or(usize::MAX)
+    /// The column view: one [`ColumnMeta`] per schema field, in ascending
+    /// (byte-wise) name order, so two tables' common columns are found by
+    /// one merge-walk. Built once with the table; reading it touches no row
+    /// and costs no meter charge (callers charge the lookups they model).
+    pub fn column_meta(&self) -> impl ExactSizeIterator<Item = ColumnMeta<'_>> + '_ {
+        let fields = self.schema.fields();
+        self.columns.iter().map(move |c| ColumnMeta {
+            field: &fields[c.field],
+            min: c.min.as_ref(),
+            max: c.max.as_ref(),
+            distinct_lower: c.distinct_lower,
+            distinct_upper: c.distinct_upper,
+        })
     }
 
     /// Whether the table-level distinct counts are exact (rather than
@@ -349,6 +352,64 @@ impl PartitionedTable {
     }
 }
 
+/// Table-level statistics merged from the partitions' (distinct counts
+/// become per-partition sums, i.e. upper bounds).
+fn merge_partition_stats(partition_meta: &[PartitionMeta]) -> HashMap<String, ColumnStats> {
+    let mut table_stats: HashMap<String, ColumnStats> = HashMap::new();
+    for meta in partition_meta {
+        for (name, stats) in &meta.column_stats {
+            table_stats
+                .entry(name.clone())
+                .and_modify(|s| *s = s.merge(stats))
+                .or_insert_with(|| stats.clone());
+        }
+    }
+    table_stats
+}
+
+/// Derive the column view (see [`PartitionedTable::column_meta`]).
+fn column_bounds(
+    schema: &Schema,
+    partition_meta: &[PartitionMeta],
+    table_stats: &HashMap<String, ColumnStats>,
+    distinct_exact: bool,
+) -> Vec<ColumnBounds> {
+    let mut columns: Vec<ColumnBounds> = schema
+        .fields()
+        .iter()
+        .enumerate()
+        .map(|(field, f)| {
+            let stats = table_stats.get(&f.name);
+            let table_distinct = stats.map(|s| s.distinct_count);
+            let distinct_lower = if distinct_exact {
+                // The exact figure is its own (tight) lower bound.
+                table_distinct.unwrap_or(0)
+            } else {
+                // The table holds at least every value one partition holds,
+                // and at least as many as its sketch's popcount bound.
+                let from_partitions = partition_meta
+                    .iter()
+                    .filter_map(|m| m.column_stats.get(&f.name))
+                    .map(|s| s.distinct_count)
+                    .max()
+                    .unwrap_or(0);
+                let from_sketch = stats.map_or(0, |s| s.sketch.min_distinct());
+                from_partitions.max(from_sketch)
+            };
+            ColumnBounds {
+                field,
+                min: stats.and_then(|s| s.min.clone()),
+                max: stats.and_then(|s| s.max.clone()),
+                distinct_lower,
+                distinct_upper: table_distinct.unwrap_or(usize::MAX),
+            }
+        })
+        .collect();
+    let fields = schema.fields();
+    columns.sort_by(|a, b| fields[a.field].name.cmp(&fields[b.field].name));
+    columns
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,6 +426,12 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    fn meta<'a>(pt: &'a PartitionedTable, name: &str) -> ColumnMeta<'a> {
+        pt.column_meta()
+            .find(|m| m.field.name == name)
+            .expect("column in the view")
     }
 
     #[test]
@@ -433,19 +500,37 @@ mod tests {
             },
         )
         .unwrap();
-        let meter = Meter::new();
-        let (min, max) = pt.column_min_max("id", &meter).unwrap();
-        assert_eq!(min, Some(Value::Int(0)));
-        assert_eq!(max, Some(Value::Int(9)));
-        assert_eq!(meter.snapshot().metadata_lookups, 1);
-        assert_eq!(meter.snapshot().rows_scanned, 0, "metadata only");
+        let id = meta(&pt, "id");
+        assert_eq!(id.min, Some(&Value::Int(0)));
+        assert_eq!(id.max, Some(&Value::Int(9)));
+        assert_eq!(id.field.data_type, DataType::Int);
     }
 
     #[test]
-    fn column_min_max_unknown_column_errors() {
-        let pt = PartitionedTable::single(table(3));
-        let meter = Meter::new();
-        assert!(pt.column_min_max("missing", &meter).is_err());
+    fn column_meta_lists_exactly_the_schema_fields() {
+        let schema = Schema::flat(&[
+            ("zeta", DataType::Int),
+            ("alpha", DataType::Utf8),
+            ("mid", DataType::Bool),
+        ])
+        .unwrap();
+        let t = Table::new(
+            schema,
+            vec![
+                Column::from_ints([3, 1]),
+                Column::from_strs(["b", "a"]),
+                Column::new(DataType::Bool, vec![Value::Bool(true), Value::Bool(false)]).unwrap(),
+            ],
+        )
+        .unwrap();
+        let pt = PartitionedTable::single(t);
+        let names: Vec<&str> = pt.column_meta().map(|m| m.field.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["alpha", "mid", "zeta"],
+            "one entry per field, by name"
+        );
+        assert!(pt.column_meta().all(|m| m.field.name != "missing"));
     }
 
     #[test]
@@ -481,9 +566,9 @@ mod tests {
         .unwrap();
         assert_eq!(pt.num_rows(), 0);
         assert_eq!(pt.num_partitions(), 1);
-        let meter = Meter::new();
-        let (min, max) = pt.column_min_max("x", &meter).unwrap();
-        assert!(min.is_none() && max.is_none());
+        let x = meta(&pt, "x");
+        assert!(x.min.is_none() && x.max.is_none());
+        assert_eq!(x.distinct_lower, 0);
     }
 
     #[test]
@@ -499,18 +584,32 @@ mod tests {
             },
         )
         .unwrap();
-        let meter = Meter::new();
         assert_eq!(pt.table_stats()["grp"].distinct_count, 3, "exact, not 9");
-        let lower = pt.column_distinct_lower_bound("grp", &meter);
-        let upper = pt.column_distinct_upper_bound("grp", &meter);
-        assert!((1..=3).contains(&lower), "sound lower bound, got {lower}");
-        assert_eq!(upper, 3);
-        assert_eq!(meter.snapshot().rows_scanned, 0, "metadata only");
-        assert!(meter.snapshot().metadata_lookups >= 2);
-        // Missing columns give no evidence.
-        assert_eq!(pt.column_distinct_lower_bound("nope", &meter), 0);
-        assert_eq!(pt.column_distinct_upper_bound("nope", &meter), usize::MAX);
+        let grp = meta(&pt, "grp");
+        assert!(
+            (1..=3).contains(&grp.distinct_lower),
+            "sound lower bound, got {}",
+            grp.distinct_lower
+        );
+        assert_eq!(grp.distinct_upper, 3);
         assert!(pt.column_sketch("nope").is_none());
+
+        // Reassembled from its partitions the table has no exact count: the
+        // upper bound becomes the per-partition sum, and the lower bound the
+        // best per-partition or sketch figure, which stays sound.
+        let merged = PartitionedTable::from_partition_tables(pt.partitions().to_vec()).unwrap();
+        assert!(!merged.table_distinct_exact());
+        let grp = meta(&merged, "grp");
+        assert_eq!(
+            grp.distinct_upper,
+            3 + 3 + 3 + 1,
+            "summed over 4 partitions"
+        );
+        assert!(
+            (1..=3).contains(&grp.distinct_lower),
+            "sound lower bound, got {}",
+            grp.distinct_lower
+        );
     }
 
     #[test]

@@ -884,8 +884,7 @@ pub(crate) fn decode_with(
         .into_iter()
         .map(|(name, entry)| (name, entry.into_stats(num_rows)))
         .collect();
-    Ok(PartitionedTable::from_partition_tables(partitions)?
-        .with_table_stats(table_stats, distinct_exact))
+    PartitionedTable::from_decoded_partitions(partitions, table_stats, distinct_exact)
 }
 
 /// Read only the footer statistics of an encoded file — the cheap metadata

@@ -246,6 +246,11 @@ mod tests {
         (lake, id)
     }
 
+    /// The table-level max of `id`, read from the column view.
+    fn id_max(pt: &PartitionedTable) -> Option<&Value> {
+        pt.column_meta().find(|m| m.field.name == "id")?.max
+    }
+
     #[test]
     fn append_rows_grows_and_refreshes_stats() {
         let (mut lake, id) = lake_with(0..20, 8);
@@ -254,11 +259,7 @@ mod tests {
         let entry = lake.dataset(id).unwrap();
         assert_eq!(entry.num_rows(), 30);
         // Statistics cover the appended rows and the spec is preserved.
-        let (_, max) = entry
-            .data
-            .column_min_max("id", &crate::meter::Meter::new())
-            .unwrap();
-        assert_eq!(max, Some(Value::Int(29)));
+        assert_eq!(id_max(&entry.data), Some(&Value::Int(29)));
         assert_eq!(
             entry.data.spec(),
             &PartitionSpec::ByRowCount {
@@ -295,11 +296,11 @@ mod tests {
         assert_eq!(removed, 10);
         let entry = lake.dataset(id).unwrap();
         assert_eq!(entry.num_rows(), 10);
-        let (_, max) = entry
-            .data
-            .column_min_max("id", &crate::meter::Meter::new())
-            .unwrap();
-        assert_eq!(max, Some(Value::Int(9)), "stats must reflect the deletion");
+        assert_eq!(
+            id_max(&entry.data),
+            Some(&Value::Int(9)),
+            "stats must reflect the deletion"
+        );
     }
 
     #[test]

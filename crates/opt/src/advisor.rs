@@ -60,12 +60,6 @@ impl AdvisorConfig {
         self.knowledge = knowledge;
         self
     }
-
-    /// Override the exact-component limit (builder style).
-    pub fn with_exact_component_limit(mut self, limit: usize) -> Self {
-        self.exact_component_limit = limit;
-        self
-    }
 }
 
 /// How one dataset changed in a batch of lake updates, from the advisor's

@@ -7,7 +7,9 @@
 //! laziness telemetry, not logical work.
 
 use r2d2_bench::experiments::sorted_edges;
+use r2d2_core::mmp::{min_max_prune_threaded, MmpOptions, MmpStats};
 use r2d2_core::{PersistenceConfig, PipelineConfig, R2d2Pipeline, R2d2Session};
+use r2d2_graph::ContainmentGraph;
 use r2d2_lake::query::{random_rows, scan};
 use r2d2_lake::{
     AccessProfile, Column, DataLake, DataType, LakeUpdate, Meter, PartitionSpec, PartitionedTable,
@@ -91,6 +93,109 @@ fn config(threads: usize) -> PipelineConfig {
     PipelineConfig::default()
         .with_seed(29)
         .with_threads(threads)
+}
+
+/// A lake whose MMP verdicts depend on every part of the column view:
+/// nested and escaping ranges, distinct counts, a column that is all-null in
+/// one table, an empty table, and a table reassembled from its partitions (so its distinct
+/// bounds are per-partition figures rather than exact counts).
+fn mmp_lake() -> DataLake {
+    let mut lake = random_lake(11);
+    let nulls = Table::new(
+        table(0..1).schema().clone(),
+        vec![
+            Column::from_ints(5..9),
+            Column::new(DataType::Utf8, vec![Value::Null; 4]).unwrap(),
+            Column::from_floats([1.0, 2.0, 2.5, 3.0]),
+        ],
+    )
+    .unwrap();
+    let reassembled =
+        PartitionedTable::from_partition_tables(part(table(10..50)).partitions().to_vec()).unwrap();
+    for (name, data) in [
+        ("nulls", part(nulls)),
+        ("empty", part(table(0..0))),
+        ("reassembled", reassembled),
+        ("wide", part(table(-5..90))),
+        // Spans [0, 40] with three distinct ids: children inside that range
+        // pass min/max and fall to the distinct-count gate.
+        ("sparse", part(table(0..41).take(&[0, 2, 40]).unwrap())),
+    ] {
+        lake.add_dataset(name, data, AccessProfile::default(), None)
+            .unwrap();
+    }
+    lake
+}
+
+/// MMP over every ordered pair of datasets: its surviving graph, its stats
+/// and the metadata counters it charged.
+fn mmp_all_pairs(
+    lake: &DataLake,
+    options: MmpOptions,
+    threads: usize,
+) -> (ContainmentGraph, MmpStats, u64, u64) {
+    let ids: Vec<u64> = lake.iter().map(|e| e.id.0).collect();
+    let mut graph = ContainmentGraph::new();
+    for &p in &ids {
+        for &c in &ids {
+            graph.add_edge(p, c);
+        }
+    }
+    let meter = Meter::new();
+    let stats = min_max_prune_threaded(lake, &mut graph, options, threads, &meter).unwrap();
+    let counts = meter.snapshot();
+    (
+        graph,
+        stats,
+        counts.metadata_lookups,
+        counts.distinct_prunes,
+    )
+}
+
+/// The column view is derived, not persisted: a table decoded from its
+/// footer (the lazy path) and every table of a restored session must
+/// rebuild the same view, and so reach the same MMP verdicts at the same
+/// metadata cost as the in-memory lake.
+#[test]
+fn mmp_view_is_rebuilt_exactly_after_decode_and_restore() {
+    let eager = mmp_lake();
+    let lazy = lazy_copy(&eager);
+    let dir = std::env::temp_dir().join("r2d2_integration_lazy_mmp_view");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut session = R2d2Session::bootstrap(eager.clone(), config(1)).unwrap();
+    session
+        .enable_persistence(PersistenceConfig::new(&dir))
+        .unwrap();
+    session.checkpoint().unwrap();
+    let restored = R2d2Session::restore(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    for (what, lake) in [("decoded", &lazy), ("restored", restored.lake())] {
+        let reassembled = &lake.dataset_by_name("reassembled").unwrap().data;
+        assert!(!reassembled.table_distinct_exact(), "{what}: premise");
+        for entry in eager.iter() {
+            let other = lake.dataset(entry.id).unwrap();
+            assert!(
+                entry.data.column_meta().eq(other.data.column_meta()),
+                "{what} {}: column view differs",
+                entry.name
+            );
+        }
+        for distinct_gate in [true, false] {
+            let options = MmpOptions { distinct_gate };
+            let expected = mmp_all_pairs(&eager, options, 1);
+            let stats = expected.1;
+            assert!(stats.edges_pruned > 0 && stats.edges_pruned < stats.edges_examined);
+            assert_eq!(stats.edges_pruned_by_distinct > 0, distinct_gate);
+            for threads in [1, 2] {
+                assert_eq!(
+                    mmp_all_pairs(lake, options, threads),
+                    expected,
+                    "{what} lake, gate {distinct_gate}, threads {threads}"
+                );
+            }
+        }
+    }
 }
 
 proptest::proptest! {
